@@ -14,6 +14,7 @@ from gotd import (
     FixedRankManifold,
     ObliqueConstraint,
     Problem,
+    as_dense,
     feasibility_direction,
     gauss_newton_direction,
     gotd_step,
@@ -43,11 +44,12 @@ print(f"\nGauss-Newton direction: |h + Dh[d]| = {np.linalg.norm(linearized):.2e}
       "(the linearized residual vanishes)")
 
 target = rng.standard_normal((m, n))
+# the objective receives the manifold point; as_dense gives its matrix
 problem = Problem(
     manifold=manifold,
     constraint=constraint,
-    f=lambda Y: 0.5 * float(np.linalg.norm(Y - target) ** 2),
-    grad_f=lambda Y: Y - target,
+    f=lambda Y: 0.5 * float(np.linalg.norm(as_dense(Y) - target) ** 2),
+    grad_f=lambda Y: as_dense(Y) - target,
 )
 gh = feasibility_direction(manifold, constraint, X)
 gf = optimality_direction(problem, X)

@@ -44,6 +44,7 @@ from .errors import (
     IllConditioned,
     InfeasibleSampling,
     NotConverged,
+    NotTangent,
     RankDeficient,
     ShapeMismatch,
     UsageError,
@@ -60,6 +61,7 @@ from .feasibility import MapResult, alternating_projections
 from .manifolds import (
     FactoredPoint,
     FixedRankManifold,
+    FixedRankTangent,
     SparsityManifold,
     SupportPoint,
     as_dense,

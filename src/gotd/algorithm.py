@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionGuard, GotdError
-from .manifolds import as_dense
+from .manifolds import norm
 from .solvers import pinv_apply
 
 GENERIC_Q_LIMIT = 4096
@@ -32,18 +32,22 @@ GENERIC_Q_LIMIT = 4096
 class Problem:
     """Objective + constraint pair defining one run.
 
-    ``f`` and ``grad_f`` act on dense ambient matrices.  When
-    ``fast_projector`` is set it replaces the generic dense projection
-    onto S(X); ``extra_metric`` is evaluated on traced iterates
-    (test error, sparsity, cost ratio, ...).
+    ``f``, ``grad_f`` and ``extra_metric`` receive the manifold point
+    itself (a :class:`~gotd.manifolds.FactoredPoint`, a
+    :class:`~gotd.manifolds.SupportPoint`, ...); the package's objectives
+    accept dense arrays as well.  ``grad_f`` may return any operand that
+    the manifold's ``tangent_project`` takes, for instance a sparse matrix
+    for a fixed-rank manifold.  When ``fast_projector`` is set it replaces
+    the generic projection onto S(X); ``extra_metric`` is evaluated on
+    traced iterates (test error, sparsity, cost ratio, ...).
     """
 
     manifold: object
     constraint: object
-    f: Callable[[np.ndarray], float]
-    grad_f: Callable[[np.ndarray], np.ndarray]
-    fast_projector: Optional[Callable[[object, np.ndarray], np.ndarray]] = None
-    extra_metric: Optional[Callable[[np.ndarray], float]] = None
+    f: Callable[[object], float]
+    grad_f: Callable[[object], object]
+    fast_projector: Optional[Callable[[object, object], object]] = None
+    extra_metric: Optional[Callable[[object], float]] = None
     name: str = ""
 
 
@@ -94,7 +98,7 @@ class GotdResult:
         return self.trace[-1].iteration if self.trace else 0
 
 
-def gauss_newton_direction(constraint, X: np.ndarray) -> np.ndarray:
+def gauss_newton_direction(constraint, X):
     """d = -Dh* (Dh Dh*)^{-1} h(X): the least-squares step toward {h = 0}
     within the normal space of the level set through X."""
     hv = constraint.value(X)
@@ -102,19 +106,16 @@ def gauss_newton_direction(constraint, X: np.ndarray) -> np.ndarray:
     return -constraint.dh_adjoint(X, lam)
 
 
-def feasibility_direction(manifold, constraint, point, X: Optional[np.ndarray] = None):
+def feasibility_direction(manifold, constraint, point):
     """Gauss--Newton direction projected onto the tangent space of M."""
-    if X is None:
-        X = as_dense(point)
-    return manifold.tangent_project(point, gauss_newton_direction(constraint, X))
+    return manifold.tangent_project(point, gauss_newton_direction(constraint, point))
 
 
 def tangent_intersection_project(
     manifold,
     constraint,
     point,
-    xi: np.ndarray,
-    X: Optional[np.ndarray] = None,
+    xi,
     rel_tol: float = 1e-12,
 ):
     """Orthogonal projection of xi onto S(X), the part of the tangent
@@ -134,47 +135,42 @@ def tangent_intersection_project(
             f"constraint dimension {q} exceeds the dense-path limit "
             f"{GENERIC_Q_LIMIT}; use a specialized projector"
         )
-    if X is None:
-        X = as_dense(point)
     xi_bar = manifold.tangent_project(point, xi)
-    rhs = constraint.dh(X, xi_bar)
+    rhs = constraint.dh(point, xi_bar)
 
     basis = np.eye(q)
     B = np.empty((q, q))
     for j in range(q):
-        col = manifold.tangent_project(point, constraint.dh_adjoint(X, basis[j]))
-        B[:, j] = constraint.dh(X, col)
+        col = manifold.tangent_project(point, constraint.dh_adjoint(point, basis[j]))
+        B[:, j] = constraint.dh(point, col)
     B = 0.5 * (B + B.T)
     lam = pinv_apply(B, rhs, rel_tol=rel_tol)
-    return xi_bar - manifold.tangent_project(point, constraint.dh_adjoint(X, lam))
+    return xi_bar - manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
 
-def optimality_direction(problem: Problem, point, X: Optional[np.ndarray] = None):
+def optimality_direction(problem: Problem, point):
     """Projection of -grad f onto S(X), through the fast projector when
     the problem provides one."""
-    if X is None:
-        X = as_dense(point)
-    xi = -problem.grad_f(X)
+    xi = -problem.grad_f(point)
     if problem.fast_projector is not None:
         return problem.fast_projector(point, xi)
-    return tangent_intersection_project(
-        problem.manifold, problem.constraint, point, xi, X=X
-    )
+    return tangent_intersection_project(problem.manifold, problem.constraint, point, xi)
 
 
 def gotd_step(problem: Problem, point, alpha: float, beta: float):
     """One update: returns (next point, ||G_h||, ||G_f||)."""
-    X = as_dense(point)
-    gh = feasibility_direction(problem.manifold, problem.constraint, point, X=X)
-    gf = optimality_direction(problem, point, X=X)
+    gh = feasibility_direction(problem.manifold, problem.constraint, point)
+    gf = optimality_direction(problem, point)
     new_point = problem.manifold.retract(point, alpha * gh + beta * gf)
-    return new_point, float(np.linalg.norm(gh)), float(np.linalg.norm(gf))
+    return new_point, norm(gh), norm(gf)
 
 
 def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     """Iterate from x0 on M until max{||G_h||, ||G_f||} <= tol or the
     budget runs out.
 
+    The point itself is handed to the objective, the constraint and the
+    projections, so a factored iterate stays factored through the step.
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  Any numerical
     failure (rank collapse, singular Gram, degenerate retraction,
@@ -187,17 +183,16 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     for k in range(config.max_iter + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                X = as_dense(point)
-                f_val = float(problem.f(X))
-                feas = float(np.linalg.norm(problem.constraint.value(X)))
-                gh_vec = feasibility_direction(problem.manifold, problem.constraint, point, X=X)
-                gf_vec = optimality_direction(problem, point, X=X)
+                f_val = float(problem.f(point))
+                feas = float(np.linalg.norm(problem.constraint.value(point)))
+                gh_vec = feasibility_direction(problem.manifold, problem.constraint, point)
+                gf_vec = optimality_direction(problem, point)
         except (GotdError, np.linalg.LinAlgError) as exc:
             return GotdResult(
                 point, trace, RunStatus.ABORTED, f"iteration {k}: {exc}"
             )
-        gh = float(np.linalg.norm(gh_vec))
-        gf = float(np.linalg.norm(gf_vec))
+        gh = norm(gh_vec)
+        gf = norm(gf_vec)
         if not np.isfinite([f_val, feas, gh, gf]).all() or feas > 1e12:
             return GotdResult(
                 point, trace, RunStatus.ABORTED,
@@ -205,7 +200,7 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
             )
         done = max(gh, gf) <= config.tol or k == config.max_iter
         if k % config.trace_every == 0 or done:
-            extra = problem.extra_metric(X) if problem.extra_metric else None
+            extra = problem.extra_metric(point) if problem.extra_metric else None
             trace.append(
                 TraceRecord(
                     k, time.perf_counter() - t_start, f_val, feas, gh, gf, extra

@@ -19,7 +19,6 @@ from typing import Optional
 from .algorithm import GotdConfig, RunStatus, gotd_run, write_trace_csv
 from .errors import GotdError, UsageError
 from .feasibility import alternating_projections
-from .manifolds import as_dense
 from .problems import (
     gen_hyperbolic_data,
     gen_modes_problem,
@@ -104,7 +103,7 @@ def _build(config: RunConfig):
         )
         problem = make_hyperbolic_problem(data, config.r)
         x0 = init_hyperbolic(data, config.r)
-        f0 = problem.f(as_dense(x0))
+        f0 = problem.f(x0)
         problem.extra_metric = lambda X: problem.f(X) / f0
         beta = config.beta
     else:
@@ -147,7 +146,7 @@ def run_experiment(config: RunConfig) -> int:
         mapped = alternating_projections(
             problem.manifold,
             problem.constraint,
-            as_dense(result.point),
+            result.point,
             tol=MAP_TOL,
             max_iter=MAP_MAX_ITER,
         )

@@ -12,11 +12,16 @@ projection onto H):
 Constraint values live in R^q.  For the Stiefel map the symmetric matrix
 X^T X - I is flattened isometrically (off-diagonal entries scaled by
 sqrt(2)) so that the Euclidean adjoint identities hold verbatim.
+
+Points X may be manifold points or plain arrays, and directions Z tangent
+vectors or arrays.  The oblique map works on the factors of a fixed-rank
+point at O(m r); the others act on the ambient matrix.
 """
 
 import numpy as np
 
 from .errors import DegenerateProjection, IllConditioned, ShapeMismatch
+from .manifolds import FactoredPoint, FixedRankTangent, as_dense
 from .solvers import COND_RTOL, sym_sylvester_solve
 
 SECULAR_TOL = 1e-12
@@ -43,6 +48,12 @@ def unflatten_sym(lam: np.ndarray, p: int) -> np.ndarray:
     return S + np.triu(S, 1).T
 
 
+def _row_sq_norms(X) -> np.ndarray:
+    """Squared row norms; from U Sigma alone for a fixed-rank point."""
+    A = X.u * X.sigma if isinstance(X, FactoredPoint) else as_dense(X)
+    return np.einsum("ij,ij->i", A, A)
+
+
 class ObliqueConstraint:
     """h_i(X) = ||row_i(X)||^2 - 1 on R^{m x n}; zero set = unit-norm rows."""
 
@@ -57,24 +68,32 @@ class ObliqueConstraint:
         if Z is not None and Z.shape != X.shape:
             raise ShapeMismatch("direction shape differs from point shape")
 
-    def value(self, X: np.ndarray) -> np.ndarray:
+    def value(self, X) -> np.ndarray:
         self._check(X)
-        return np.einsum("ij,ij->i", X, X) - 1.0
+        return _row_sq_norms(X) - 1.0
 
-    def dh(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def dh(self, X, Z) -> np.ndarray:
         self._check(X, Z)
-        return 2.0 * np.einsum("ij,ij->i", X, Z)
+        if isinstance(X, FactoredPoint):
+            # row i of X is (U Sigma)_i V^T, so <X_i, Z_i> = (U Sigma)_i . (Z V)_i
+            return 2.0 * np.einsum("ij,ij->i", X.u * X.sigma, Z @ X.v)
+        return 2.0 * np.einsum("ij,ij->i", as_dense(X), as_dense(Z))
 
-    def dh_adjoint(self, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def dh_adjoint(self, X, lam: np.ndarray):
         self._check(X)
         if lam.shape != (self.q,):
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
-        return 2.0 * lam[:, None] * X
+        if isinstance(X, FactoredPoint):
+            # 2 Diag(lam) X = (2 lam * U Sigma) V^T is tangent at X, with Vp = 0
+            L = 2.0 * lam[:, None] * (X.u * X.sigma)
+            M = X.u.T @ L
+            return FixedRankTangent(X.u, X.v, M, L - X.u @ M, np.zeros_like(X.v))
+        return 2.0 * lam[:, None] * as_dense(X)
 
-    def gram_solve(self, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         """Dh Dh* is diagonal with entries 4 ||row_i||^2."""
         self._check(X)
-        g = 4.0 * np.einsum("ij,ij->i", X, X)
+        g = 4.0 * _row_sq_norms(X)
         if g.min() <= COND_RTOL * g.max():
             raise IllConditioned("a row of X is (numerically) zero")
         return b / g
@@ -109,23 +128,25 @@ class HyperboloidConstraint:
         if Z is not None and Z.shape != X.shape:
             raise ShapeMismatch("direction shape differs from point shape")
 
-    def value(self, X: np.ndarray) -> np.ndarray:
+    def value(self, X) -> np.ndarray:
         self._check(X)
+        X = as_dense(X)
         return np.einsum("ij,ij->j", X, self.j_diag[:, None] * X) + 1.0
 
-    def dh(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def dh(self, X, Z) -> np.ndarray:
         self._check(X, Z)
-        return 2.0 * np.einsum("ij,ij->j", self.j_diag[:, None] * X, Z)
+        return 2.0 * np.einsum("ij,ij->j", self.j_diag[:, None] * as_dense(X), as_dense(Z))
 
-    def dh_adjoint(self, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
         self._check(X)
         if lam.shape != (self.q,):
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
-        return 2.0 * (self.j_diag[:, None] * X) * lam[None, :]
+        return 2.0 * (self.j_diag[:, None] * as_dense(X)) * lam[None, :]
 
-    def gram_solve(self, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I)."""
         self._check(X)
+        X = as_dense(X)
         g = 4.0 * np.einsum("ij,ij->j", X, X)
         if g.min() <= COND_RTOL * g.max():
             raise IllConditioned("a column of X is (numerically) zero")
@@ -203,22 +224,24 @@ class StiefelConstraint:
         if Z is not None and Z.shape != X.shape:
             raise ShapeMismatch("direction shape differs from point shape")
 
-    def value(self, X: np.ndarray) -> np.ndarray:
+    def value(self, X) -> np.ndarray:
         self._check(X)
+        X = as_dense(X)
         return flatten_sym(X.T @ X - np.eye(self.p))
 
-    def dh(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def dh(self, X, Z) -> np.ndarray:
         self._check(X, Z)
-        XtZ = X.T @ Z
+        XtZ = as_dense(X).T @ as_dense(Z)
         return flatten_sym(XtZ + XtZ.T)
 
-    def dh_adjoint(self, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
         self._check(X)
-        return 2.0 * X @ unflatten_sym(lam, self.p)
+        return 2.0 * as_dense(X) @ unflatten_sym(lam, self.p)
 
-    def gram_solve(self, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         """Invert lam -> flatten_sym(2 (G L + L G)) with G = X^T X."""
         self._check(X)
+        X = as_dense(X)
         G = X.T @ X
         L = sym_sylvester_solve(G, unflatten_sym(b, self.p) / 2.0)
         return flatten_sym(L)

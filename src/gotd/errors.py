@@ -25,6 +25,11 @@ class NotConverged(GotdError):
     """An iterative solver exhausted its budget without reaching tolerance."""
 
 
+class NotTangent(GotdError, ValueError):
+    """A retraction step is not tangent at the point, or its factored
+    form breaks the gauge conditions U^T Up = 0, V^T Vp = 0."""
+
+
 class DegenerateStep(GotdError):
     """A sparsity retraction target has fewer nonzeros than required."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, ShapeMismatch
-from .manifolds import FactoredPoint
+from .manifolds import FactoredPoint, FixedRankTangent, as_dense
 from .solvers import LinearOperator, pcg
 
 PCG_TOL = 1e-10
@@ -43,7 +43,7 @@ def build_workspace(X: FactoredPoint, j_diag: np.ndarray) -> HypLowRankWorkspace
     if j_diag.shape != (X.shape[0],):
         raise ShapeMismatch("signature length does not match the point height")
     U, V = X.u, X.v
-    JX = j_diag[:, None] * X.dense()
+    JX = j_diag[:, None] * as_dense(X)
     P = U.T @ JX
     Q = JX - U @ P
     d = np.einsum("ij,ij->j", P, P)
@@ -80,25 +80,29 @@ def reduced_gram_diag(ws: HypLowRankWorkspace) -> np.ndarray:
 def project_hyperboloid_lowrank(
     X: FactoredPoint,
     ws: HypLowRankWorkspace,
-    xi: np.ndarray,
+    xi,
     tol: float = PCG_TOL,
     max_iter: int = PCG_MAX_ITER,
-) -> np.ndarray:
+) -> FixedRankTangent:
     """Project an ambient direction onto ker(Dh) within the fixed-rank
     tangent space, using the factored reduced system.
 
     Solves A lam = b with b_i = (J X)_i^T eta_i for the tangent-projected
-    eta, then removes U (P Diag(lam)) + (Q Diag(lam) V) V^T.
+    eta, then removes C = U (P Diag(lam)) + (Q Diag(lam) V) V^T.  Both
+    eta and the result are factored tangent vectors.
     """
     if ws.u.shape != X.u.shape or ws.u is not X.u and np.abs(ws.u - X.u).max() > 0.0:
         raise ShapeMismatch("workspace was built for a different point")
     if xi.shape != X.shape:
         raise ShapeMismatch(f"expected ambient shape {X.shape}")
     U, V = X.u, X.v
-    Utxi = U.T @ xi
-    eta = U @ Utxi + ((xi @ V) - U @ (Utxi @ V)) @ V.T
-    JX = U @ ws.jx_coeff + ws.jx_perp
-    b = np.einsum("ij,ij->j", JX, eta)
+    P, Q = ws.jx_coeff, ws.jx_perp
+    eta = FixedRankTangent.from_ambient(X, xi)
+    # column i of eta is U (M V^T + Vp^T)_i + Up V_i^T and that of J X is
+    # U P_i + Q_i; the cross terms vanish because U^T Q = 0 and U^T Up = 0
+    b = np.einsum("ij,ij->j", P, eta.M @ V.T + eta.Vp.T) + np.einsum(
+        "ij,ij->i", Q.T @ eta.Up, V
+    )
 
     diag = reduced_gram_diag(ws)
     op = LinearOperator(b.size, lambda w: apply_reduced_gram(ws, w), symmetric=True)
@@ -108,4 +112,8 @@ def project_hyperboloid_lowrank(
             f"pcg stalled at {result.iters} iterations on the reduced system"
         )
     lam = result.x
-    return eta - U @ (ws.jx_coeff * lam[None, :]) - ((ws.jx_perp * lam[None, :]) @ V) @ V.T
+    # C in tangent form: M = P Diag(lam) V, Up = Q Diag(lam) V,
+    # Vp = (I - V V^T) Diag(lam) P^T
+    PL = P * lam[None, :]
+    M = PL @ V
+    return eta - FixedRankTangent(U, V, M, Q @ (lam[:, None] * V), PL.T - V @ M.T)

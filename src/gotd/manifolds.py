@@ -5,14 +5,16 @@ Each manifold implements the same small contract: ``tangent_project``,
 ``retract`` and ``project`` (metric projection from the ambient space).
 Points carry their own structure -- a thin SVD triple for fixed rank, a
 value/support pair for sparsity -- and ``dense()`` recovers the ambient
-matrix.
+matrix.  Fixed-rank tangent vectors stay factored as well
+(:class:`FixedRankTangent`), so a fixed-rank step needs no m x n array.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, RankDeficient, ShapeMismatch
+from .errors import DegenerateStep, NotTangent, RankDeficient, ShapeMismatch
 from .solvers import RANK_RTOL, truncated_svd
 
 TANGENT_CHECK_RTOL = 1e-8
@@ -56,6 +58,133 @@ class FactoredPoint:
     def dense(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """X[rows, cols] from the factors, at O(len(rows) r)."""
+        # one contiguous column at a time: 1-D gathers are several times
+        # faster than gathering whole rows of the (m, r) factors
+        A = np.ascontiguousarray((self.u * self.sigma).T)
+        B = np.ascontiguousarray(self.v.T)
+        out = A[0][rows] * B[0][cols]
+        for k in range(1, self.rank):
+            out += A[k][rows] * B[k][cols]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class FixedRankTangent:
+    """Tangent vector at X = U diag(sigma) V^T in factored form:
+
+        eta = U M V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0
+
+    (Vandereycken, SIAM J. Optim. 2013).  The three terms are mutually
+    orthogonal, so ||eta||^2 = ||M||^2 + ||Up||^2 + ||Vp||^2 and norms and
+    inner products cost O((m + n) r).
+
+    Sums, differences and scalar multiples of tangent vectors at the same
+    point stay factored.  Any other arithmetic, and ``np.asarray``, falls
+    back to the dense m x n matrix, so the type can stand in for an array.
+    """
+
+    u: np.ndarray   # (m, r) left factor of the point
+    v: np.ndarray   # (n, r) right factor of the point
+    M: np.ndarray   # (r, r)
+    Up: np.ndarray  # (m, r)
+    Vp: np.ndarray  # (n, r)
+
+    # numpy scalars and arrays hand their binary operators over to ours
+    __array_priority__ = 1000
+
+    def __post_init__(self):
+        r = self.u.shape[1]
+        if (
+            self.M.shape != (r, r)
+            or self.Up.shape != self.u.shape
+            or self.Vp.shape != self.v.shape
+        ):
+            raise ShapeMismatch("expected M (r,r), Up (m,r), Vp (n,r)")
+
+    @classmethod
+    def from_ambient(cls, X: FactoredPoint, Z) -> "FixedRankTangent":
+        """Orthogonal projection of Z onto the tangent space at X.
+
+        Z may be anything that supports ``Z @ V`` and ``Z.T @ U``: a dense
+        array, a sparse matrix, a low-rank operand or a tangent vector.
+        """
+        if isinstance(Z, FixedRankTangent) and Z.at(X):
+            return Z
+        U, V = X.u, X.v
+        ZV = Z @ V
+        M = U.T @ ZV
+        return cls(U, V, M, ZV - U @ M, Z.T @ U - V @ M.T)
+
+    def at(self, X) -> bool:
+        """Whether this vector is stored in the factors of point X."""
+        return self.u is X.u and self.v is X.v
+
+    def _like(self, M, Up, Vp) -> "FixedRankTangent":
+        return FixedRankTangent(self.u, self.v, M, Up, Vp)
+
+    @property
+    def shape(self):
+        return (self.u.shape[0], self.v.shape[0])
+
+    @property
+    def T(self) -> "FixedRankTangent":
+        """Transpose: a tangent vector at X^T = V diag(sigma) U^T."""
+        return FixedRankTangent(self.v, self.u, self.M.T, self.Vp, self.Up)
+
+    def dense(self) -> np.ndarray:
+        return self.u @ (self.M @ self.v.T + self.Vp.T) + self.Up @ self.v.T
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def norm(self) -> float:
+        return float(np.sqrt(sum(np.vdot(a, a) for a in (self.M, self.Up, self.Vp))))
+
+    def inner(self, other: "FixedRankTangent") -> float:
+        """Frobenius inner product with a tangent vector at the same point."""
+        if not (isinstance(other, FixedRankTangent) and other.at(self)):
+            raise ShapeMismatch("inner product needs two tangent vectors at one point")
+        return float(
+            np.vdot(self.M, other.M) + np.vdot(self.Up, other.Up) + np.vdot(self.Vp, other.Vp)
+        )
+
+    def __matmul__(self, W):
+        VtW = self.v.T @ W
+        return self.u @ (self.M @ VtW + self.Vp.T @ W) + self.Up @ VtW
+
+    def __rmatmul__(self, W):
+        WU = W @ self.u
+        return (WU @ self.M + W @ self.Up) @ self.v.T + WU @ self.Vp.T
+
+    def __add__(self, other):
+        if isinstance(other, FixedRankTangent) and other.at(self):
+            return self._like(self.M + other.M, self.Up + other.Up, self.Vp + other.Vp)
+        return self.dense() + other
+
+    def __radd__(self, other):
+        return other + self.dense()
+
+    def __sub__(self, other):
+        if isinstance(other, FixedRankTangent) and other.at(self):
+            return self._like(self.M - other.M, self.Up - other.Up, self.Vp - other.Vp)
+        return self.dense() - other
+
+    def __rsub__(self, other):
+        return other - self.dense()
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return self._like(other * self.M, other * self.Up, other * self.Vp)
+        return self.dense() * other
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._like(-self.M, -self.Up, -self.Vp)
+
 
 @dataclass(frozen=True)
 class SupportPoint:
@@ -84,11 +213,36 @@ class SupportPoint:
         return self.values
 
 
+# the fixed-rank point densified last (weakly) and its read-only matrix
+_last_dense = (lambda: None, None)
+
+
 def as_dense(x) -> np.ndarray:
-    """Ambient matrix of a manifold point or a plain array."""
+    """Ambient matrix of a manifold point, a tangent vector or a plain
+    array.
+
+    The matrix of the fixed-rank point densified last is kept, read-only,
+    so the dense consumers of one iterate (objective, gradient,
+    constraint) share a single m x n array, and no more than one is held.
+    """
+    global _last_dense
     if isinstance(x, np.ndarray):
         return x
-    return x.dense()
+    if not isinstance(x, FactoredPoint):
+        return x.dense()
+    ref, dense = _last_dense
+    if ref() is not x:
+        dense = x.dense()
+        dense.flags.writeable = False
+        _last_dense = (weakref.ref(x), dense)
+    return dense
+
+
+def norm(v) -> float:
+    """Frobenius norm of a tangent vector, factored or dense."""
+    if isinstance(v, FixedRankTangent):
+        return v.norm()
+    return float(np.linalg.norm(v))
 
 
 class FixedRankManifold:
@@ -101,45 +255,55 @@ class FixedRankManifold:
         self.n = n
         self.r = r
 
-    def _check(self, X: FactoredPoint, Z: np.ndarray):
+    def _check(self, X: FactoredPoint, Z):
         if X.shape != (self.m, self.n) or X.rank != self.r:
             raise ShapeMismatch("point does not belong to this manifold")
         if Z.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
 
-    def tangent_project(self, X: FactoredPoint, Z: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the tangent space at X:
-        U U^T Z + Z V V^T - U U^T Z V V^T."""
-        self._check(X, Z)
-        U, V = X.u, X.v
-        UtZ = U.T @ Z
-        ZV = Z @ V
-        return U @ UtZ + (ZV - U @ (UtZ @ V)) @ V.T
+    def tangent_project(self, X: FactoredPoint, Z) -> FixedRankTangent:
+        """Orthogonal projection onto the tangent space at X,
+        U U^T Z + Z V V^T - U U^T Z V V^T, in factored form.
 
-    def retract(self, X: FactoredPoint, eta: np.ndarray) -> FactoredPoint:
+        Z needs only ``Z @ V`` and ``Z.T @ U`` (see
+        :meth:`FixedRankTangent.from_ambient`).
+        """
+        self._check(X, Z)
+        return FixedRankTangent.from_ambient(X, Z)
+
+    def retract(self, X: FactoredPoint, eta) -> FactoredPoint:
         """Metric-projection retraction: best rank-r approximation of X + eta.
 
-        eta must be tangent at X (checked to 1e-8 relative).  The SVD is
-        computed on a 2r x 2r core; its singular values are exactly those
-        of X + eta, so the result agrees with the dense definition.
+        A :class:`FixedRankTangent` at X goes straight into the core; its
+        gauge conditions are checked to 1e-8 relative at O((m + n) r^2).
+        Any other eta is decomposed densely and must be tangent at X to
+        1e-8 relative.  The SVD is computed on a 2r x 2r core; its singular
+        values are exactly those of X + eta, so the result agrees with the
+        dense definition.
         """
         self._check(X, eta)
         U, s, V = X.u, X.sigma, X.v
         r = self.r
-        M = U.T @ eta @ V
-        Up = eta @ V - U @ M
-        Vp = eta.T @ U - V @ M.T
-
-        norm_eta = np.linalg.norm(eta)
-        if norm_eta > 0.0:
-            tang = U @ (M @ V.T) + Up @ V.T + U @ Vp.T
-            defect = np.linalg.norm(eta - tang)
-            # the absolute floor tolerates rounding residue in small
-            # differences of large tangent vectors near convergence
-            if defect > TANGENT_CHECK_RTOL * norm_eta + 1e-12 * float(s[0]):
-                raise ValueError(
-                    f"eta is not tangent: relative defect {defect / norm_eta:.3e}"
-                )
+        if isinstance(eta, FixedRankTangent) and eta.at(X):
+            M, Up, Vp = eta.M, eta.Up, eta.Vp
+            norm_eta = eta.norm()
+            defect = float(np.hypot(np.linalg.norm(U.T @ Up), np.linalg.norm(V.T @ Vp)))
+        else:
+            eta = as_dense(eta)
+            M = U.T @ eta @ V
+            Up = eta @ V - U @ M
+            Vp = eta.T @ U - V @ M.T
+            norm_eta = float(np.linalg.norm(eta))
+            defect = 0.0
+            if norm_eta > 0.0:
+                tang = U @ (M @ V.T) + Up @ V.T + U @ Vp.T
+                defect = float(np.linalg.norm(eta - tang))
+        # the absolute floor tolerates rounding residue in small
+        # differences of large tangent vectors near convergence
+        if defect > TANGENT_CHECK_RTOL * norm_eta + 1e-12 * float(s[0]):
+            raise NotTangent(
+                f"eta is not tangent: relative defect {defect / norm_eta:.3e}"
+            )
 
         Qu, Ru = np.linalg.qr(Up)
         Qu = Qu - U @ (U.T @ Qu)  # reinforce against drift in qr

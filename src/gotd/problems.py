@@ -6,7 +6,7 @@ objective/gradient functions, an initializer, and a ``make_*_problem``
 wiring function that assembles a :class:`~gotd.algorithm.Problem`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,100 @@ from .manifolds import (
     SupportPoint,
     as_dense,
 )
+from .solvers import truncated_svd
 
 ARCCOSH_SERIES_CUT = 1e-8
 LORENTZ_SLACK = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sparse ambient operands
+# ---------------------------------------------------------------------------
+
+class SparsePattern:
+    """Distinct positions (rows, cols) of a sparse m x n matrix, grouped
+    once by row and once by column.
+
+    Products of a :class:`CooMatrix` on the pattern are then segment sums
+    (``np.add.reduceat``) over contiguous runs, several times faster in
+    numpy than scattering with ``np.bincount``.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple):
+        self.rows = rows
+        self.cols = cols
+        self.shape = tuple(shape)
+        self.by_row = _Runs(rows, cols, self.shape[0])
+        self.by_col = _Runs(cols, rows, self.shape[1])
+
+
+class _Runs:
+    """Entries ordered by their output index, for G @ W: ``order`` sorts
+    them (None when they are sorted already), ``inner`` is their input
+    index in that order, and the run of output index ``present[i]``
+    starts at ``starts[i]``."""
+
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, size: int):
+        order = np.argsort(outer, kind="stable")
+        self.order = None if np.all(np.diff(outer) >= 0) else order
+        self.inner = inner[order]
+        self.present = np.flatnonzero(np.bincount(outer, minlength=size))
+        self.starts = np.searchsorted(outer[order], self.present)
+        self.size = size
+
+    def product(self, vals: np.ndarray, W: np.ndarray) -> np.ndarray:
+        v = vals if self.order is None else vals[self.order]
+        out = np.zeros((W.shape[1], self.size))
+        if self.present.size:
+            for k, w in enumerate(np.ascontiguousarray(W.T)):
+                out[k, self.present] = np.add.reduceat(v * w[self.inner], self.starts)
+        return out.T
+
+
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """Matrix with the values ``vals`` at the positions of ``pattern`` and
+    zeros elsewhere (``transposed`` swaps the roles of rows and columns).
+
+    It supports what a fixed-rank tangent projection needs of an ambient
+    operand, ``G @ W`` and ``G.T @ W``, at O(len(vals) k);
+    ``np.asarray`` gives the dense matrix.
+    """
+
+    pattern: SparsePattern
+    vals: np.ndarray
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple:
+        return self.pattern.shape[::-1] if self.transposed else self.pattern.shape
+
+    @property
+    def T(self) -> "CooMatrix":
+        return CooMatrix(self.pattern, self.vals, not self.transposed)
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        runs = self.pattern.by_col if self.transposed else self.pattern.by_row
+        return runs.product(self.vals, W)
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return CooMatrix(self.pattern, scalar * self.vals, self.transposed)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "CooMatrix":
+        return CooMatrix(self.pattern, -self.vals, self.transposed)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.pattern.shape)
+        out[self.pattern.rows, self.pattern.cols] = self.vals
+        return out.T if self.transposed else out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +131,15 @@ class SphereFitProblem:
     r: int
     oversampling: float
     seed: int
+    # gathered once: target[omega], target[gamma] and the pattern of omega
+    target_omega: np.ndarray = field(init=False, repr=False)
+    target_gamma: np.ndarray = field(init=False, repr=False)
+    omega_pattern: SparsePattern = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.target_omega = self.target[self.omega]
+        self.target_gamma = self.target[self.gamma]
+        self.omega_pattern = SparsePattern(*self.omega, (self.m, self.n))
 
 
 def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> SphereFitProblem:
@@ -62,33 +162,48 @@ def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> S
     return SphereFitProblem(A, omega, gamma, m, n, r, oversampling, seed)
 
 
+def _sampled(X, idx) -> np.ndarray:
+    """X[idx], read from the factors of a fixed-rank point."""
+    if isinstance(X, FactoredPoint):
+        return X.entries(*idx)
+    return as_dense(X)[idx]
+
+
 def sphere_objective(prob: SphereFitProblem, X) -> float:
-    X = as_dense(X)
-    return 0.5 * float(np.linalg.norm(X[prob.omega] - prob.target[prob.omega]) ** 2)
+    resid = _sampled(X, prob.omega) - prob.target_omega
+    return 0.5 * float(np.linalg.norm(resid) ** 2)
 
 
-def sphere_grad(prob: SphereFitProblem, X) -> np.ndarray:
-    X = as_dense(X)
-    g = np.zeros_like(X)
-    g[prob.omega] = X[prob.omega] - prob.target[prob.omega]
+def sphere_grad(prob: SphereFitProblem, X):
+    """The gradient is supported on Omega: a :class:`CooMatrix` for a
+    fixed-rank point, a dense array for a dense X."""
+    resid = _sampled(X, prob.omega) - prob.target_omega
+    if isinstance(X, FactoredPoint):
+        return CooMatrix(prob.omega_pattern, resid)
+    g = np.zeros_like(as_dense(X))
+    g[prob.omega] = resid
     return g
 
 
 def sphere_test_error(prob: SphereFitProblem, X) -> float:
     """Relative error on the held-out entries."""
-    X = as_dense(X)
-    num = np.linalg.norm(X[prob.gamma] - prob.target[prob.gamma])
-    return float(num / np.linalg.norm(prob.target[prob.gamma]))
+    num = np.linalg.norm(_sampled(X, prob.gamma) - prob.target_gamma)
+    return float(num / np.linalg.norm(prob.target_gamma))
 
 
 def init_sphere(prob: SphereFitProblem, seed: int) -> FactoredPoint:
     """Product of a unit-row random factor and a random orthonormal
-    factor, projected to rank r."""
+    factor, projected to rank r.
+
+    H0 V0^T has rank r, so the thin SVD H0 = W S Z^T of the m x r factor
+    gives its SVD W S (V0 Z)^T without forming the m x n product.
+    """
     rng = np.random.default_rng(seed)
     H0 = rng.standard_normal((prob.m, prob.r))
     H0 /= np.linalg.norm(H0, axis=1, keepdims=True)
     V0 = np.linalg.qr(rng.standard_normal((prob.n, prob.r)))[0]
-    return FixedRankManifold(prob.m, prob.n, prob.r).project(H0 @ V0.T)
+    W, S, Z = truncated_svd(H0, prob.r)
+    return FactoredPoint(W, S, V0 @ Z)
 
 
 def make_sphere_problem(prob: SphereFitProblem) -> Problem:
@@ -99,10 +214,9 @@ def make_sphere_problem(prob: SphereFitProblem) -> Problem:
         # rows of a rank-r factored point lie in span(V), so the adjoint
         # image 2 Diag(lam) X is already tangent and the intersection
         # projection collapses to a single diagonal Gram solve
-        X = point.dense()
         eta = manifold.tangent_project(point, xi)
-        lam = constraint.gram_solve(X, constraint.dh(X, eta))
-        return eta - constraint.dh_adjoint(X, lam)
+        lam = constraint.gram_solve(point, constraint.dh(point, eta))
+        return eta - constraint.dh_adjoint(point, lam)
 
     return Problem(
         manifold=manifold,

@@ -7,7 +7,25 @@ under test.
 
 import numpy as np
 
-from gotd import FactoredPoint, FixedRankManifold, SparsityManifold
+from gotd import (
+    FactoredPoint,
+    FixedRankManifold,
+    HyperboloidConstraint,
+    LinearOperator,
+    ObliqueConstraint,
+    Problem,
+    SparsityManifold,
+    apply_reduced_gram,
+    build_workspace,
+    hyperbolic_grad,
+    hyperbolic_objective,
+    pcg,
+    reduced_gram_diag,
+    sphere_grad,
+    sphere_objective,
+    sphere_test_error,
+)
+from gotd.fastproj import PCG_MAX_ITER, PCG_TOL
 
 
 def random_factored(rng, m, n, r, scale=1.0) -> FactoredPoint:
@@ -156,3 +174,93 @@ def loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# the dense route: m x n tangent vectors, dense objectives and constraints
+# ---------------------------------------------------------------------------
+
+class DenseFixedRankManifold(FixedRankManifold):
+    """Fixed-rank manifold whose tangent vectors are dense m x n arrays.
+
+    ``retract`` is inherited: a dense eta is decomposed and checked for
+    tangency densely there.
+    """
+
+    def tangent_project(self, X, Z):
+        self._check(X, Z)
+        U, V = X.u, X.v
+        Z = np.asarray(Z)
+        UtZ = U.T @ Z
+        ZV = Z @ V
+        return U @ UtZ + (ZV - U @ (UtZ @ V)) @ V.T
+
+
+class DenseConstraint:
+    """A constraint that only ever sees dense ambient matrices."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.q = inner.q
+
+    def value(self, X):
+        return self.inner.value(X.dense())
+
+    def dh(self, X, Z):
+        return self.inner.dh(X.dense(), np.asarray(Z))
+
+    def dh_adjoint(self, X, lam):
+        return self.inner.dh_adjoint(X.dense(), lam)
+
+    def gram_solve(self, X, b):
+        return self.inner.gram_solve(X.dense(), b)
+
+
+def dense_sphere_problem(data) -> Problem:
+    """The sphere problem on the dense route, with the collapsed projector
+    eta - Dh*(Dh Dh*)^{-1} Dh eta written on m x n arrays."""
+    manifold = DenseFixedRankManifold(data.m, data.n, data.r)
+    constraint = DenseConstraint(ObliqueConstraint(data.m, data.n))
+
+    def projector(point, xi):
+        eta = manifold.tangent_project(point, xi)
+        lam = constraint.gram_solve(point, constraint.dh(point, eta))
+        return eta - constraint.dh_adjoint(point, lam)
+
+    return Problem(
+        manifold=manifold,
+        constraint=constraint,
+        f=lambda X: sphere_objective(data, X.dense()),
+        grad_f=lambda X: sphere_grad(data, X.dense()),
+        fast_projector=projector,
+        extra_metric=lambda X: sphere_test_error(data, X.dense()),
+    )
+
+
+def dense_hyperboloid_projector(j_diag):
+    """The factored reduced system of the hyperboloid projector, with a
+    dense tangent-projected eta and a dense correction."""
+
+    def project(point, xi):
+        ws = build_workspace(point, j_diag)
+        U, V = point.u, point.v
+        eta = DenseFixedRankManifold(*point.shape, point.rank).tangent_project(point, xi)
+        JX = U @ ws.jx_coeff + ws.jx_perp
+        b = np.einsum("ij,ij->j", JX, eta)
+        diag = reduced_gram_diag(ws)
+        op = LinearOperator(b.size, lambda w: apply_reduced_gram(ws, w), symmetric=True)
+        lam = pcg(op, b, precond=lambda v: v / diag, tol=PCG_TOL, max_iter=PCG_MAX_ITER).x
+        return eta - U @ (ws.jx_coeff * lam[None, :]) - ((ws.jx_perp * lam[None, :]) @ V) @ V.T
+
+    return project
+
+
+def dense_hyperbolic_problem(data, r) -> Problem:
+    constraint = DenseConstraint(HyperboloidConstraint(data.n, data.m))
+    return Problem(
+        manifold=DenseFixedRankManifold(data.n + 1, data.m, r + 1),
+        constraint=constraint,
+        f=lambda X: hyperbolic_objective(data, X.dense()),
+        grad_f=lambda X: hyperbolic_grad(data, X.dense()),
+        fast_projector=dense_hyperboloid_projector(constraint.inner.j_diag),
+    )

@@ -278,6 +278,18 @@ class TestStepAndRun:
         assert res.status is RunStatus.ABORTED
         assert "iteration" in res.reason
 
+    def test_run_aborts_on_non_tangent_step(self, rng):
+        # a projector that skips the projection hands the retraction a
+        # non-tangent step: the run ends ABORTED, not with a traceback
+        data = gen_sphere_data(20, 18, 2, 1.5, 3)
+        prob = make_sphere_problem(data)
+        prob.fast_projector = lambda point, xi: xi
+        res = gotd_run(prob, init_sphere(data, 3),
+                       GotdConfig(alpha=1.0, beta=1.0, max_iter=5, tol=0.0))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason.startswith("iteration 0: eta is not tangent")
+        assert len(res.trace) == 1
+
     def test_small_recovery_run(self, rng):
         data = gen_sphere_data(40, 36, 2, 3.0, 7)
         prob = make_sphere_problem(data)

@@ -76,3 +76,38 @@ class TestAlternatingProjections:
         ss_tot = np.sum((np.log(hist) - np.log(hist).mean()) ** 2)
         assert slope < 0
         assert 1.0 - ss_res / ss_tot >= 0.9
+
+
+class CountingManifold(FixedRankManifold):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.projections = 0
+
+    def project(self, Y):
+        self.projections += 1
+        return super().project(Y)
+
+
+class TestStartOnManifold:
+    def test_point_start_skips_the_opening_projection(self, rng):
+        man, C = CountingManifold(12, 10, 3), ObliqueConstraint(12, 10)
+        X = feasible_oblique_lowrank(rng, 12, 10, 3)
+        res = alternating_projections(man, C, X, tol=1e-10, max_iter=100)
+        assert res.converged and res.iters == 0
+        assert res.point is X
+        assert man.projections == 0
+        alternating_projections(man, C, X.dense(), tol=1e-10, max_iter=100)
+        assert man.projections == 1
+
+    def test_point_and_matrix_starts_agree(self, rng):
+        n, m, s = 10, 14, 3
+        man = CountingManifold(n + 1, m, s)
+        C = HyperboloidConstraint(n, m)
+        X = feasible_hyperboloid_lowrank(rng, n, m, s)
+        start = man.project(X.dense() + 1e-2 * rng.standard_normal((n + 1, m)))
+        man.projections = 0
+        a = alternating_projections(man, C, start, tol=1e-11, max_iter=100)
+        assert man.projections == a.iters
+        b = alternating_projections(man, C, start.dense(), tol=1e-11, max_iter=100)
+        assert a.iters == b.iters
+        assert np.allclose(a.point.dense(), b.point.dense(), atol=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from gotd import (
     DomainViolation,
+    FixedRankManifold,
     InfeasibleSampling,
     gen_hyperbolic_data,
     gen_modes_problem,
@@ -95,6 +96,28 @@ class TestSphereObjective:
         assert np.array_equal(X0.dense(), Y0.dense())
         # unit-row factor times orthonormal factor keeps unit rows
         assert np.abs(np.linalg.norm(X0.dense(), axis=1) - 1.0).max() <= 1e-10
+
+    def test_init_matches_dense_projection(self):
+        # the thin SVD of the m x r factor replaces a full SVD of H0 V0^T
+        data = gen_sphere_data(60, 50, 3, 2.0, 1)
+        X0 = init_sphere(data, 9)
+        rng = np.random.default_rng(9)
+        H0 = rng.standard_normal((60, 3))
+        H0 /= np.linalg.norm(H0, axis=1, keepdims=True)
+        V0 = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+        ref = FixedRankManifold(60, 50, 3).project(H0 @ V0.T)
+        assert np.abs(X0.dense() - ref.dense()).max() <= 1e-12
+        assert np.abs(X0.sigma - ref.sigma).max() <= 1e-12
+
+    def test_factored_point_reads_the_samples(self):
+        data = gen_sphere_data(30, 25, 2, 2.0, 1)
+        X = init_sphere(data, 4)
+        Xd = X.dense()
+        assert np.allclose(X.entries(*data.omega), Xd[data.omega], rtol=0, atol=1e-15)
+        assert sphere_objective(data, X) == pytest.approx(sphere_objective(data, Xd), rel=1e-13)
+        assert sphere_test_error(data, X) == pytest.approx(sphere_test_error(data, Xd), rel=1e-13)
+        assert np.allclose(np.asarray(sphere_grad(data, X)), sphere_grad(data, Xd),
+                           rtol=0, atol=1e-15)
 
 
 class TestHyperbolicData:
