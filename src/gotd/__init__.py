@@ -62,6 +62,7 @@ from .manifolds import (
     FactoredPoint,
     FixedRankManifold,
     FixedRankTangent,
+    LowRankMatrix,
     SparsityManifold,
     SupportPoint,
     as_dense,

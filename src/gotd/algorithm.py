@@ -98,17 +98,22 @@ class GotdResult:
         return self.trace[-1].iteration if self.trace else 0
 
 
-def gauss_newton_direction(constraint, X):
+def gauss_newton_direction(constraint, X, hv=None):
     """d = -Dh* (Dh Dh*)^{-1} h(X): the least-squares step toward {h = 0}
-    within the normal space of the level set through X."""
-    hv = constraint.value(X)
+    within the normal space of the level set through X.
+
+    ``hv`` is h(X) when the caller has it already.
+    """
+    if hv is None:
+        hv = constraint.value(X)
     lam = constraint.gram_solve(X, hv)
     return -constraint.dh_adjoint(X, lam)
 
 
-def feasibility_direction(manifold, constraint, point):
-    """Gauss--Newton direction projected onto the tangent space of M."""
-    return manifold.tangent_project(point, gauss_newton_direction(constraint, point))
+def feasibility_direction(manifold, constraint, point, hv=None):
+    """Gauss--Newton direction projected onto the tangent space of M;
+    ``hv`` is h(point) when the caller has it already."""
+    return manifold.tangent_project(point, gauss_newton_direction(constraint, point, hv))
 
 
 def tangent_intersection_project(
@@ -184,8 +189,11 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_val = float(problem.f(point))
-                feas = float(np.linalg.norm(problem.constraint.value(point)))
-                gh_vec = feasibility_direction(problem.manifold, problem.constraint, point)
+                hv = problem.constraint.value(point)
+                feas = float(np.linalg.norm(hv))
+                gh_vec = feasibility_direction(
+                    problem.manifold, problem.constraint, point, hv
+                )
                 gf_vec = optimality_direction(problem, point)
         except (GotdError, np.linalg.LinAlgError) as exc:
             return GotdResult(

@@ -14,14 +14,15 @@ X^T X - I is flattened isometrically (off-diagonal entries scaled by
 sqrt(2)) so that the Euclidean adjoint identities hold verbatim.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
-vectors or arrays.  The oblique map works on the factors of a fixed-rank
-point at O(m r); the others act on the ambient matrix.
+vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
+work on the factors of a fixed-rank point, at O((m + n) r^2) for a
+factored direction; the Stiefel map acts on the ambient matrix.
 """
 
 import numpy as np
 
 from .errors import DegenerateProjection, IllConditioned, ShapeMismatch
-from .manifolds import FactoredPoint, FixedRankTangent, as_dense
+from .manifolds import FactoredPoint, FixedRankTangent, LowRankMatrix, as_dense
 from .solvers import COND_RTOL, sym_sylvester_solve
 
 SECULAR_TOL = 1e-12
@@ -128,26 +129,45 @@ class HyperboloidConstraint:
         if Z is not None and Z.shape != X.shape:
             raise ShapeMismatch("direction shape differs from point shape")
 
+    def _ja(self, X: FactoredPoint) -> np.ndarray:
+        """J U Sigma: column j of J X is (J U Sigma) v_j with v_j row j of V."""
+        return self.j_diag[:, None] * (X.u * X.sigma)
+
     def value(self, X) -> np.ndarray:
         self._check(X)
+        if isinstance(X, FactoredPoint):
+            # x_j^T J x_j = v_j^T (A^T J A) v_j with A = U Sigma
+            A = X.u * X.sigma
+            return np.einsum("ij,ij->i", X.v @ (A.T @ self._ja(X)), X.v) + 1.0
         X = as_dense(X)
         return np.einsum("ij,ij->j", X, self.j_diag[:, None] * X) + 1.0
 
     def dh(self, X, Z) -> np.ndarray:
         self._check(X, Z)
+        if isinstance(X, FactoredPoint):
+            # (J x_j)^T z_j = v_j^T (Z^T J A)_j; Z needs only Z.T @ (J A)
+            return 2.0 * np.einsum("ij,ij->i", Z.T @ self._ja(X), X.v)
         return 2.0 * np.einsum("ij,ij->j", self.j_diag[:, None] * as_dense(X), as_dense(Z))
 
-    def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
+    def dh_adjoint(self, X, lam: np.ndarray):
         self._check(X)
         if lam.shape != (self.q,):
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
+        if isinstance(X, FactoredPoint):
+            # 2 J X Diag(lam) = (2 J A) (Diag(lam) V)^T
+            return LowRankMatrix(2.0 * self._ja(X), lam[:, None] * X.v)
         return 2.0 * (self.j_diag[:, None] * as_dense(X)) * lam[None, :]
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
-        """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I)."""
+        """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I);
+        ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
         self._check(X)
-        X = as_dense(X)
-        g = 4.0 * np.einsum("ij,ij->j", X, X)
+        if isinstance(X, FactoredPoint):
+            SV = X.v * X.sigma
+            g = 4.0 * np.einsum("ij,ij->i", SV, SV)
+        else:
+            X = as_dense(X)
+            g = 4.0 * np.einsum("ij,ij->j", X, X)
         if g.min() <= COND_RTOL * g.max():
             raise IllConditioned("a column of X is (numerically) zero")
         return b / g

@@ -8,10 +8,15 @@ form
     A = Diag(d) + (Q^T Q) .* (V V^T),      J X = U P + Q,
 
 with P the coefficients of J X in the U basis, Q the orthogonal residual
-and d the squared column norms of P.  A is symmetric positive definite at
-transversal points and its action costs O(s^2 (n + m)), so the system is
-solved matrix-free by preconditioned conjugate gradients with the exact
-diagonal of A as the preconditioner.
+and d the squared column norms of P.  Both have rank s and are stored by
+their thin factors: P = C V^T and Q = W V^T with
+
+    C = U^T J U Sigma  (s x s),      W = J U Sigma - U C  ((n+1) x s).
+
+A is symmetric positive definite at transversal points and its action
+costs O(s^2 (n + m)), so the system is solved matrix-free by
+preconditioned conjugate gradients with the exact diagonal of A as the
+preconditioner.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, ShapeMismatch
-from .manifolds import FactoredPoint, FixedRankTangent, as_dense
+from .manifolds import FactoredPoint, FixedRankTangent
 from .solvers import LinearOperator, pcg
 
 PCG_TOL = 1e-10
@@ -32,48 +37,52 @@ class HypLowRankWorkspace:
 
     u: np.ndarray            # (n+1, s) left factor of the point
     right_factor: np.ndarray  # (m, s) right factor V
-    jx_coeff: np.ndarray     # P = U^T J X, (s, m)
-    jx_perp: np.ndarray      # Q = (I - U U^T) J X, (n+1, m)
+    coeff_core: np.ndarray   # C = U^T J U Sigma, (s, s); P = C V^T
+    perp_factor: np.ndarray  # W = J U Sigma - U C, (n+1, s); Q = W V^T
+    perp_gram: np.ndarray    # W^T W, (s, s); Q^T Q = V W^T W V^T
     coeff_sq_norms: np.ndarray  # squared column norms of P, (m,)
     j_diag: np.ndarray       # Lorentz signature as a vector, (n+1,)
 
 
 def build_workspace(X: FactoredPoint, j_diag: np.ndarray) -> HypLowRankWorkspace:
-    """Decompose J X = U P + Q and collect the pieces of the reduced system."""
+    """Decompose J X = U P + Q on the factors and collect the pieces of
+    the reduced system, at O((n + m) s^2)."""
     if j_diag.shape != (X.shape[0],):
         raise ShapeMismatch("signature length does not match the point height")
     U, V = X.u, X.v
-    JX = j_diag[:, None] * as_dense(X)
-    P = U.T @ JX
-    Q = JX - U @ P
-    d = np.einsum("ij,ij->j", P, P)
-    return HypLowRankWorkspace(U, V, P, Q, d, j_diag)
+    JA = j_diag[:, None] * (U * X.sigma)
+    C = U.T @ JA
+    W = JA - U @ C
+    VC = V @ C.T  # row i is column i of P
+    d = np.einsum("ij,ij->i", VC, VC)
+    return HypLowRankWorkspace(U, V, C, W, W.T @ W, d, j_diag)
 
 
 def apply_reduced_gram(ws: HypLowRankWorkspace, w: np.ndarray) -> np.ndarray:
-    """Matrix-free action of A = Diag(d) + (Q^T Q) .* (V V^T) on a vector."""
-    if w.shape != (ws.jx_coeff.shape[1],):
+    """Matrix-free action of A = Diag(d) + (Q^T Q) .* (V V^T) on a vector:
+
+        (A w)_i = d_i w_i + v_i^T (W^T W) (V^T Diag(w) V) v_i.
+    """
+    V = ws.right_factor
+    if w.shape != (V.shape[0],):
         raise ShapeMismatch("vector length does not match the column count")
-    out = ws.coeff_sq_norms * w
-    Q, V = ws.jx_perp, ws.right_factor
-    for l in range(V.shape[1]):
-        vl = V[:, l]
-        out = out + vl * (Q.T @ (Q @ (vl * w)))
-    return out
+    K = ws.perp_gram @ (V.T @ (w[:, None] * V))
+    return ws.coeff_sq_norms * w + np.einsum("ij,ij->i", V @ K, V)
 
 
 def dense_reduced_gram(ws: HypLowRankWorkspace) -> np.ndarray:
     """Assemble A densely (testing and small problems only)."""
-    Q, V = ws.jx_perp, ws.right_factor
+    V = ws.right_factor
+    Q = ws.perp_factor @ V.T
     return np.diag(ws.coeff_sq_norms) + (Q.T @ Q) * (V @ V.T)
 
 
 def reduced_gram_diag(ws: HypLowRankWorkspace) -> np.ndarray:
     """Exact diagonal of A without assembling it:
-    d_i + ||Q_i||^2 ||row_i(V)||^2."""
-    Q, V = ws.jx_perp, ws.right_factor
+    d_i + ||Q_i||^2 ||row_i(V)||^2, with ||Q_i||^2 = v_i^T W^T W v_i."""
+    V = ws.right_factor
     return ws.coeff_sq_norms + np.einsum(
-        "ij,ij->j", Q, Q
+        "ij,ij->i", V @ ws.perp_gram, V
     ) * np.einsum("ij,ij->i", V, V)
 
 
@@ -88,20 +97,22 @@ def project_hyperboloid_lowrank(
     tangent space, using the factored reduced system.
 
     Solves A lam = b with b_i = (J X)_i^T eta_i for the tangent-projected
-    eta, then removes C = U (P Diag(lam)) + (Q Diag(lam) V) V^T.  Both
-    eta and the result are factored tangent vectors.
+    eta, then removes the correction U P Diag(lam) + (Q Diag(lam) V) V^T.
+    Both eta and the result are factored tangent vectors, and no
+    (n+1) x m array is formed unless xi is one.
     """
     if ws.u.shape != X.u.shape or ws.u is not X.u and np.abs(ws.u - X.u).max() > 0.0:
         raise ShapeMismatch("workspace was built for a different point")
     if xi.shape != X.shape:
         raise ShapeMismatch(f"expected ambient shape {X.shape}")
     U, V = X.u, X.v
-    P, Q = ws.jx_coeff, ws.jx_perp
+    C, W = ws.coeff_core, ws.perp_factor
     eta = FixedRankTangent.from_ambient(X, xi)
     # column i of eta is U (M V^T + Vp^T)_i + Up V_i^T and that of J X is
-    # U P_i + Q_i; the cross terms vanish because U^T Q = 0 and U^T Up = 0
-    b = np.einsum("ij,ij->j", P, eta.M @ V.T + eta.Vp.T) + np.einsum(
-        "ij,ij->i", Q.T @ eta.Up, V
+    # U C v_i + W v_i; the cross terms vanish because U^T W = 0 and
+    # U^T Up = 0
+    b = np.einsum("ij,ij->i", V @ C.T, V @ eta.M.T + eta.Vp) + np.einsum(
+        "ij,ij->i", V @ (W.T @ eta.Up), V
     )
 
     diag = reduced_gram_diag(ws)
@@ -112,8 +123,10 @@ def project_hyperboloid_lowrank(
             f"pcg stalled at {result.iters} iterations on the reduced system"
         )
     lam = result.x
-    # C in tangent form: M = P Diag(lam) V, Up = Q Diag(lam) V,
-    # Vp = (I - V V^T) Diag(lam) P^T
-    PL = P * lam[None, :]
-    M = PL @ V
-    return eta - FixedRankTangent(U, V, M, Q @ (lam[:, None] * V), PL.T - V @ M.T)
+    # the correction U P Diag(lam) + Q Diag(lam) V V^T in tangent form,
+    # with K = V^T Diag(lam) V: M = C K, Up = W K,
+    # Vp = (I - V V^T) Diag(lam) V C^T = Diag(lam) V C^T - V (C K)^T
+    LV = lam[:, None] * V
+    K = V.T @ LV
+    M = C @ K
+    return eta - FixedRankTangent(U, V, M, W @ K, LV @ C.T - V @ M.T)

@@ -6,7 +6,8 @@ Each manifold implements the same small contract: ``tangent_project``,
 Points carry their own structure -- a thin SVD triple for fixed rank, a
 value/support pair for sparsity -- and ``dense()`` recovers the ambient
 matrix.  Fixed-rank tangent vectors stay factored as well
-(:class:`FixedRankTangent`), so a fixed-rank step needs no m x n array.
+(:class:`FixedRankTangent`), and so do low-rank ambient operands
+(:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
 """
 
 import weakref
@@ -184,6 +185,57 @@ class FixedRankTangent:
 
     def __neg__(self):
         return self._like(-self.M, -self.Up, -self.Vp)
+
+
+@dataclass(frozen=True, eq=False)
+class LowRankMatrix:
+    """The matrix A B^T, stored as its factors A (m, k) and B (n, k).
+
+    Products, the transpose, scalar multiples and negation stay factored
+    and cost O((m + n) k) per column of the other operand; ``np.asarray``
+    gives the dense m x n matrix.  A fixed-rank tangent projection takes
+    it like any other operand, through ``Z @ V`` and ``Z.T @ U``.
+    """
+
+    a: np.ndarray  # (m, k)
+    b: np.ndarray  # (n, k)
+
+    __array_priority__ = 1000
+
+    def __post_init__(self):
+        if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[1] != self.b.shape[1]:
+            raise ShapeMismatch("expected factors a (m,k) and b (n,k)")
+
+    @property
+    def shape(self):
+        return (self.a.shape[0], self.b.shape[0])
+
+    @property
+    def T(self) -> "LowRankMatrix":
+        return LowRankMatrix(self.b, self.a)
+
+    def dense(self) -> np.ndarray:
+        return self.a @ self.b.T
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __matmul__(self, W):
+        return self.a @ (self.b.T @ W)
+
+    def __rmatmul__(self, W):
+        return (W @ self.a) @ self.b.T
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return LowRankMatrix(other * self.a, self.b)
+        return self.dense() * other
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "LowRankMatrix":
+        return LowRankMatrix(-self.a, self.b)
 
 
 @dataclass(frozen=True)

@@ -265,10 +265,10 @@ def gen_hyperbolic_data(
 
 
 def _lorentz_gaps(prob: HyperbolicFitProblem, X: np.ndarray) -> np.ndarray:
-    """u_i = -<x_i, target_i>_J, clamped at 1 from below."""
-    j = np.ones(prob.n + 1)
-    j[0] = -1.0
-    u = -np.einsum("ij,ij->j", X, j[:, None] * prob.targets)
+    """u_i = -<x_i, target_i>_J = 2 x_0i t_0i - x_i . t_i, clamped at 1
+    from below."""
+    T = prob.targets
+    u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
     if np.any(u < 1.0 - LORENTZ_SLACK):
         raise DomainViolation(
             f"Lorentz product {u.min():.6e} below 1; columns left the sheet"
@@ -294,21 +294,27 @@ def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
         np.arccosh(us) / np.sqrt(us * us - 1.0),
         1.0 - (u - 1.0) / 3.0,
     )
-    j = np.ones(prob.n + 1)
-    j[0] = -1.0
-    return -2.0 * (j[:, None] * prob.targets) * g[None, :]
+    # J T Diag(-2 g) with J applied last, as a sign flip of row 0
+    out = prob.targets * (-2.0 * g)[None, :]
+    out[0] = -out[0]
+    return out
 
 
 def init_hyperbolic(prob: HyperbolicFitProblem, r: int) -> FactoredPoint:
     """Lift initialization: project the spatial block onto its top-r
-    left singular subspace, re-lift each column, and truncate to rank r+1."""
+    left singular subspace, re-lift each column, and truncate to rank r+1.
+
+    The lifted matrix [top; U_r Z_r] is B Y with B = diag(1, U_r), whose
+    columns are orthonormal, and Y = [top; Z_r] of size (r+1) x m, so the
+    SVD W S Z^T of Y gives its SVD (B W) S Z^T.
+    """
     spatial = prob.targets[1:, :]
     U, _, Vt = np.linalg.svd(spatial, full_matrices=False)
     Ur = U[:, :r]
     Zr = Ur.T @ spatial
     top = np.sqrt(1.0 + np.einsum("ij,ij->j", Zr, Zr))
-    X0 = np.vstack([top, Ur @ Zr])
-    return FixedRankManifold(prob.n + 1, prob.m, r + 1).project(X0)
+    W, S, Z = truncated_svd(np.vstack([top, Zr]), r + 1)
+    return FactoredPoint(np.vstack([W[:1], Ur @ W[1:]]), S, Z)
 
 
 def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:

@@ -245,12 +245,13 @@ def dense_hyperboloid_projector(j_diag):
         ws = build_workspace(point, j_diag)
         U, V = point.u, point.v
         eta = DenseFixedRankManifold(*point.shape, point.rank).tangent_project(point, xi)
-        JX = U @ ws.jx_coeff + ws.jx_perp
+        P, Q = ws.coeff_core @ V.T, ws.perp_factor @ V.T
+        JX = U @ P + Q
         b = np.einsum("ij,ij->j", JX, eta)
         diag = reduced_gram_diag(ws)
         op = LinearOperator(b.size, lambda w: apply_reduced_gram(ws, w), symmetric=True)
         lam = pcg(op, b, precond=lambda v: v / diag, tol=PCG_TOL, max_iter=PCG_MAX_ITER).x
-        return eta - U @ (ws.jx_coeff * lam[None, :]) - ((ws.jx_perp * lam[None, :]) @ V) @ V.T
+        return eta - U @ (P * lam[None, :]) - ((Q * lam[None, :]) @ V) @ V.T
 
     return project
 

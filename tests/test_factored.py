@@ -1,10 +1,12 @@
 """The factored fixed-rank route against the dense one.
 
-Tangent vectors at X = U diag(sigma) V^T are stored as (M, Up, Vp); the
-sphere problem reads X on its sample sets from the factors and keeps its
-gradient sparse.  Every factored quantity here is compared with the same
-quantity built from m x n arrays (``oracles.DenseFixedRankManifold`` and
-friends), over shapes and points drawn by hypothesis.
+Tangent vectors at X = U diag(sigma) V^T are stored as (M, Up, Vp) and
+low-rank operands A B^T as (A, B); the sphere problem reads X on its
+sample sets from the factors and keeps its gradient sparse, and the
+hyperboloid maps and projector work on U Sigma and V.  Every factored
+quantity here is compared with the same quantity built from m x n arrays
+(``oracles.DenseFixedRankManifold`` and friends), over shapes and points
+drawn by hypothesis.
 """
 
 import numpy as np
@@ -17,10 +19,13 @@ from gotd import (
     FixedRankManifold,
     FixedRankTangent,
     GotdConfig,
+    HyperboloidConstraint,
+    LowRankMatrix,
     NotTangent,
     ObliqueConstraint,
     RunStatus,
     ShapeMismatch,
+    feasibility_direction,
     gen_hyperbolic_data,
     gen_sphere_data,
     gotd_run,
@@ -36,6 +41,7 @@ from oracles import (
     DenseFixedRankManifold,
     dense_hyperbolic_problem,
     dense_sphere_problem,
+    feasible_hyperboloid_lowrank,
     random_factored,
 )
 
@@ -182,6 +188,75 @@ class TestFactoredOblique:
         assert np.abs(adj.Vp).max() == 0.0
         b = rng.standard_normal(man.m)
         assert np.allclose(C.gram_solve(X, b), C.gram_solve(Xd, b), rtol=1e-12)
+
+
+class TestLowRankMatrix:
+    @given(points(), st.integers(1, 4), st.floats(-3.0, 3.0))
+    def test_products_transpose_arithmetic_match_dense(self, case, k, c):
+        rng, man, X = case
+        m, n = X.shape
+        L = LowRankMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+        D = L.a @ L.b.T
+        W, Y = rng.standard_normal((n, 3)), rng.standard_normal((2, m))
+        assert L.shape == D.shape and L.T.shape == D.T.shape
+        assert np.allclose(np.asarray(L), D, atol=1e-12)
+        assert np.allclose(L @ W, D @ W, atol=1e-12)
+        assert np.allclose(Y @ L, Y @ D, atol=1e-12)
+        assert np.allclose(L.T @ Y.T, D.T @ Y.T, atol=1e-12)
+        for out, ref in [(c * L, c * D), (L * np.float64(c), c * D), (-L, -D)]:
+            assert isinstance(out, LowRankMatrix)
+            assert np.allclose(out.dense(), ref, atol=1e-12)
+        assert np.allclose(L * D, D * D, atol=1e-12)
+        # a tangent projection takes it like a dense operand
+        assert np.allclose(
+            man.tangent_project(X, L).dense(), dense_project(man, X, D), atol=1e-12
+        )
+
+    def test_factor_shapes_checked(self):
+        with pytest.raises(ShapeMismatch):
+            LowRankMatrix(np.zeros((4, 2)), np.zeros((3, 3)))
+
+
+class TestFactoredHyperboloid:
+    @given(points())
+    def test_maps_match_dense(self, case):
+        rng, man, X = case
+        C = HyperboloidConstraint(man.m - 1, man.n)
+        Xd = X.dense()
+        Z = rng.standard_normal(X.shape)
+        eta = man.tangent_project(X, Z)
+        L = LowRankMatrix(rng.standard_normal((man.m, 2)), rng.standard_normal((man.n, 2)))
+        lam, b = rng.standard_normal((2, man.n))
+        assert np.allclose(C.value(X), C.value(Xd), atol=1e-12)
+        for op in (Z, eta, L):
+            assert np.allclose(C.dh(X, op), C.dh(Xd, np.asarray(op)), atol=1e-11)
+        adj = C.dh_adjoint(X, lam)
+        assert isinstance(adj, LowRankMatrix)
+        assert np.allclose(adj.dense(), C.dh_adjoint(Xd, lam), atol=1e-12)
+        assert np.allclose(C.gram_solve(X, b), C.gram_solve(Xd, b), rtol=1e-11)
+        # <Dh Z, lam> = <Z, Dh* lam> on the factored maps
+        lhs, rhs = np.vdot(C.dh(X, Z), lam), np.vdot(Z, adj.dense())
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+    def test_step_builds_no_dense_matrix(self, rng, monkeypatch):
+        # both directions and the retraction at a factored hyperbolic point;
+        # only the ambient direction xi handed to the projector is dense
+        n, m, s = 12, 40, 4
+        X = feasible_hyperboloid_lowrank(rng, n, m, s)
+        X = FactoredPoint(X.u, X.sigma * 1.01, X.v)  # off the sheet: h != 0
+        problem = make_hyperbolic_problem(gen_hyperbolic_data(n, m, s - 1, 0), s - 1)
+        xi = rng.standard_normal(X.shape)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.dense() on the hot path")
+
+        for cls in (FactoredPoint, FixedRankTangent, LowRankMatrix):
+            monkeypatch.setattr(cls, "dense", refuse)
+        gh = feasibility_direction(problem.manifold, problem.constraint, X)
+        gf = problem.fast_projector(X, xi)
+        assert isinstance(gh, FixedRankTangent) and isinstance(gf, FixedRankTangent)
+        assert gh.norm() > 0.0 and gf.norm() > 0.0
+        assert problem.manifold.retract(X, 0.1 * gh + 0.1 * gf).rank == s
 
 
 class TestSparseGradient:

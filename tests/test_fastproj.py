@@ -22,27 +22,33 @@ def lorentz(n1):
     return j
 
 
+def coeff_and_perp(ws):
+    """P = C V^T and Q = W V^T from the workspace factors."""
+    V = ws.right_factor
+    return ws.coeff_core @ V.T, ws.perp_factor @ V.T
+
+
 class TestWorkspace:
     def test_reconstruction(self, rng):
         X = random_factored(rng, 7, 9, 3)
         j = lorentz(7)
         ws = build_workspace(X, j)
+        P, Q = coeff_and_perp(ws)
         JX = j[:, None] * X.dense()
-        assert np.abs(X.u @ ws.jx_coeff + ws.jx_perp - JX).max() <= 1e-12
-        assert np.abs(X.u.T @ ws.jx_perp).max() <= 1e-12
+        assert np.abs(X.u @ P + Q - JX).max() <= 1e-12
+        assert np.abs(X.u.T @ Q).max() <= 1e-12
 
     def test_identity_signature_kills_residual(self, rng):
         # with J = I the columns of J X stay in span(U), so Q = 0
         X = random_factored(rng, 6, 8, 2)
         ws = build_workspace(X, np.ones(6))
-        assert np.abs(ws.jx_perp).max() <= 1e-12
+        assert np.abs(coeff_and_perp(ws)[1]).max() <= 1e-12
 
     def test_coeff_norms(self, rng):
         X = random_factored(rng, 6, 8, 2)
         ws = build_workspace(X, lorentz(6))
-        assert np.allclose(
-            ws.coeff_sq_norms, np.einsum("ij,ij->j", ws.jx_coeff, ws.jx_coeff)
-        )
+        P = coeff_and_perp(ws)[0]
+        assert np.allclose(ws.coeff_sq_norms, np.einsum("ij,ij->j", P, P))
 
     def test_shape_mismatch(self, rng):
         X = random_factored(rng, 6, 8, 2)

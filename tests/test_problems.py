@@ -202,6 +202,31 @@ class TestHyperbolicData:
         Y0 = init_hyperbolic(data, 3)
         assert np.array_equal(X0.dense(), Y0.dense())
 
+    def test_init_matches_dense_projection(self):
+        # the SVD of the (r+1) x m lifted block replaces a full SVD of X0
+        data = gen_hyperbolic_data(40, 120, 4, 2)
+        X0 = init_hyperbolic(data, 4)
+        U, _, _ = np.linalg.svd(data.targets[1:], full_matrices=False)
+        Zr = U[:, :4].T @ data.targets[1:]
+        top = np.sqrt(1.0 + np.einsum("ij,ij->j", Zr, Zr))
+        ref = FixedRankManifold(41, 120, 5).project(np.vstack([top, U[:, :4] @ Zr]))
+        assert np.abs(X0.dense() - ref.dense()).max() <= 1e-12
+        assert np.abs(X0.sigma - ref.sigma).max() <= 1e-12
+
+    def test_objective_and_grad_match_signature_form(self):
+        # u = -<x, t>_J and grad = -2 J T Diag(g), written with J explicitly
+        data = gen_hyperbolic_data(10, 15, 3, 2)
+        X = gen_hyperbolic_data(10, 15, 4, 3).targets
+        j = np.ones(11)
+        j[0] = -1.0
+        u = -np.einsum("ij,ij->j", X, j[:, None] * data.targets)
+        g = np.arccosh(u) / np.sqrt(u * u - 1.0)
+        assert hyperbolic_objective(data, X) == pytest.approx(
+            np.sum(np.arccosh(u) ** 2), rel=1e-13
+        )
+        ref = -2.0 * (j[:, None] * data.targets) * g[None, :]
+        assert np.allclose(hyperbolic_grad(data, X), ref, rtol=1e-12, atol=0.0)
+
 
 class TestModesProblem:
     def test_hamiltonian_structure(self):
