@@ -38,7 +38,6 @@ from .constraints import (
 from .errors import (
     DegenerateProjection,
     DegenerateStep,
-    DimensionGuard,
     DomainViolation,
     GotdError,
     IllConditioned,

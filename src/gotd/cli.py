@@ -125,7 +125,6 @@ def run_experiment(config: RunConfig) -> int:
         max_iter=config.max_iter,
         tol=config.tol,
         trace_every=config.trace_every,
-        seed=config.seed,
     )
     result = gotd_run(problem, x0, run_cfg)
 

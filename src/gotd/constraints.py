@@ -19,6 +19,8 @@ work on the factors of a fixed-rank point, at O((m + n) r^2) for a
 factored direction; the Stiefel map acts on the ambient matrix.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateProjection, IllConditioned, ShapeMismatch
@@ -29,24 +31,32 @@ SECULAR_TOL = 1e-12
 SECULAR_MAX_ITER = 100
 
 
+@functools.cache
+def _sym_layout(p: int):
+    """Row and column indices of the upper triangle of a p x p matrix and
+    the weights of :func:`flatten_sym`, built once per p (read-only)."""
+    iu, ju = np.triu_indices(p)
+    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    for a in (iu, ju, w):
+        a.flags.writeable = False
+    return iu, ju, w
+
+
 def flatten_sym(S: np.ndarray) -> np.ndarray:
     """Isometric flattening of a symmetric matrix: upper triangle row by
     row, off-diagonal entries multiplied by sqrt(2)."""
-    p = S.shape[0]
-    iu, ju = np.triu_indices(p)
-    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    iu, ju, w = _sym_layout(S.shape[0])
     return S[iu, ju] * w
 
 
 def unflatten_sym(lam: np.ndarray, p: int) -> np.ndarray:
     """Inverse of :func:`flatten_sym`."""
-    iu, ju = np.triu_indices(p)
+    iu, ju, w = _sym_layout(p)
     if lam.shape != iu.shape:
         raise ShapeMismatch(f"expected a vector of length {iu.size}")
-    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    S = np.zeros((p, p))
-    S[iu, ju] = lam / w
-    return S + np.triu(S, 1).T
+    S = np.empty((p, p))
+    S[iu, ju] = S[ju, iu] = lam / w
+    return S
 
 
 def _row_sq_norms(X) -> np.ndarray:

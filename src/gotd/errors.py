@@ -42,10 +42,6 @@ class DomainViolation(GotdError):
     """An input left the domain of a function (e.g. Lorentz products < 1)."""
 
 
-class DimensionGuard(GotdError):
-    """A dense code path was refused because the problem is too large for it."""
-
-
 class InfeasibleSampling(GotdError):
     """Requested more samples than the population contains."""
 

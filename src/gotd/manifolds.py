@@ -422,7 +422,8 @@ class SparsityManifold:
         return self.project(X.values + eta)
 
     def project(self, Y: np.ndarray) -> SupportPoint:
-        """Hard thresholding: keep the s largest entries in magnitude."""
+        """Hard thresholding: keep the s largest entries in magnitude,
+        ties broken toward the smallest row-major linear index."""
         if Y.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
         if np.count_nonzero(Y) < self.s:
@@ -430,9 +431,13 @@ class SparsityManifold:
                 f"only {np.count_nonzero(Y)} nonzeros available, need {self.s}"
             )
         flat = np.abs(Y).ravel()
-        # stable sort on -|Y|: equal magnitudes keep ascending index order
-        keep = np.argsort(-flat, kind="stable")[: self.s]
-        mask = np.zeros(Y.size, dtype=bool)
-        mask[keep] = True
+        if np.isnan(flat).any():
+            raise DegenerateStep("NaN entries have no magnitude order")
+        # t is the s-th largest magnitude: keep every entry above it and
+        # fill the budget with the entries equal to it, smallest index first
+        t = np.partition(flat, flat.size - self.s)[flat.size - self.s]
+        mask = flat > t
+        ties = np.flatnonzero(flat == t)
+        mask[ties[: self.s - np.count_nonzero(mask)]] = True
         mask = mask.reshape(Y.shape)
         return SupportPoint(np.where(mask, Y, 0.0), mask)

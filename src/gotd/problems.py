@@ -304,13 +304,14 @@ def init_hyperbolic(prob: HyperbolicFitProblem, r: int) -> FactoredPoint:
     """Lift initialization: project the spatial block onto its top-r
     left singular subspace, re-lift each column, and truncate to rank r+1.
 
-    The lifted matrix [top; U_r Z_r] is B Y with B = diag(1, U_r), whose
+    The subspace is spanned by the top-r eigenvectors of the n x n Gram
+    matrix spatial spatial^T; the result depends only on U_r U_r^T.  The
+    lifted matrix [top; U_r Z_r] is B Y with B = diag(1, U_r), whose
     columns are orthonormal, and Y = [top; Z_r] of size (r+1) x m, so the
     SVD W S Z^T of Y gives its SVD (B W) S Z^T.
     """
     spatial = prob.targets[1:, :]
-    U, _, Vt = np.linalg.svd(spatial, full_matrices=False)
-    Ur = U[:, :r]
+    Ur = np.linalg.eigh(spatial @ spatial.T)[1][:, ::-1][:, :r]
     Zr = Ur.T @ spatial
     top = np.sqrt(1.0 + np.einsum("ij,ij->j", Zr, Zr))
     W, S, Z = truncated_svd(np.vstack([top, Zr]), r + 1)
@@ -369,7 +370,7 @@ def modes_objective(prob: CompressedModesProblem, X) -> float:
 
 
 def modes_grad(prob: CompressedModesProblem, X) -> np.ndarray:
-    return 2.0 * prob.hamiltonian @ as_dense(X)
+    return 2.0 * (prob.hamiltonian @ as_dense(X))
 
 
 def sparsity_ratio(X) -> float:

@@ -5,6 +5,8 @@ null spaces, finite differences) and deliberately avoids the code paths
 under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from gotd import (
@@ -20,6 +22,7 @@ from gotd import (
     hyperbolic_grad,
     hyperbolic_objective,
     pcg,
+    pinv_apply,
     reduced_gram_diag,
     sphere_grad,
     sphere_objective,
@@ -265,3 +268,38 @@ def dense_hyperbolic_problem(data, r) -> Problem:
         grad_f=lambda X: hyperbolic_grad(data, X.dense()),
         fast_projector=dense_hyperboloid_projector(constraint.inner.j_diag),
     )
+
+
+# the q-column route: the reduced Gram matrix assembled and pseudo-inverted
+# ---------------------------------------------------------------------------
+
+def reduced_gram_matrix(manifold, constraint, point):
+    """B = Dh P_T Dh* assembled column by column and symmetrized."""
+    basis = np.eye(constraint.q)
+    B = np.empty((constraint.q, constraint.q))
+    for j in range(constraint.q):
+        col = manifold.tangent_project(point, constraint.dh_adjoint(point, basis[j]))
+        B[:, j] = constraint.dh(point, col)
+    return 0.5 * (B + B.T)
+
+
+def loop_tangent_intersection_project(manifold, constraint, point, xi):
+    """Projection onto ker(Dh) within the tangent space through the
+    pseudo-inverse of the assembled reduced Gram matrix:
+    P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi)."""
+    xi_bar = manifold.tangent_project(point, xi)
+    B = reduced_gram_matrix(manifold, constraint, point)
+    lam = pinv_apply(B, constraint.dh(point, xi_bar), rel_tol=1e-12)
+    return xi_bar - manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
+
+
+def loop_projector_problem(problem) -> Problem:
+    """The same problem with its projection onto S(X) done by
+    :func:`loop_tangent_intersection_project`."""
+
+    def project(point, xi):
+        return loop_tangent_intersection_project(
+            problem.manifold, problem.constraint, point, xi
+        )
+
+    return replace(problem, fast_projector=project)

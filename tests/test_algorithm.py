@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 from gotd import (
-    DimensionGuard,
     FixedRankManifold,
     GotdConfig,
     HyperboloidConstraint,
     LyapunovMonitor,
+    NotConverged,
     ObliqueConstraint,
     Problem,
     RunStatus,
     SparsityManifold,
     StiefelConstraint,
+    SupportPoint,
     feasibility_direction,
     find_monotone_balance,
     gauss_newton_direction,
+    gen_modes_problem,
     gen_sphere_data,
     gotd_run,
     gotd_step,
+    init_modes,
     init_sphere,
     lyapunov_value,
+    make_modes_problem,
     make_sphere_problem,
     optimality_direction,
     read_trace_csv,
@@ -31,9 +35,12 @@ from oracles import (
     feasible_oblique_lowrank,
     intersection_basis,
     loglog_slope,
+    loop_projector_problem,
+    loop_tangent_intersection_project,
     project_onto_basis,
     random_factored,
     random_support_point,
+    reduced_gram_matrix,
     tangent_basis_fixed_rank,
     tangent_basis_sparsity,
 )
@@ -173,13 +180,62 @@ class TestTangentIntersectionProject:
         out = tangent_intersection_project(man, C, X, xi)
         assert np.linalg.norm(out - expected) <= 1e-8 * max(1.0, np.linalg.norm(xi))
 
-    def test_dimension_guard(self, rng):
-        class HugeConstraint:
-            q = 5000
+    def test_singular_reduced_gram(self, rng):
+        # columns 0 and 1 have disjoint supports, so P_T kills the adjoint
+        # image of their off-diagonal multiplier and B = Dh P_T Dh* is
+        # singular; CG on the consistent system still gives P_S
+        support = np.zeros((6, 3), dtype=bool)
+        support[[0, 1, 2], 0] = True
+        support[[3, 4, 5], 1] = True
+        support[[0, 3, 4], 2] = True
+        X = SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0), support)
+        man = SparsityManifold(6, 3, 9)
+        C = StiefelConstraint(6, 3)
+        eig = np.linalg.eigvalsh(reduced_gram_matrix(man, C, X))
+        assert eig[0] <= 1e-14 * eig[-1] and eig[1] > 1e-3 * eig[-1]
+        basis = intersection_basis(C, X.dense(), tangent_basis_sparsity(X))
+        for _ in range(5):
+            xi = rng.standard_normal((6, 3))
+            out = tangent_intersection_project(man, C, X, xi)
+            scale = max(1.0, np.linalg.norm(xi))
+            assert np.linalg.norm(out - project_onto_basis(basis, xi)) <= 1e-8 * scale
+            loop = loop_tangent_intersection_project(man, C, X, xi)
+            assert np.linalg.norm(out - loop) <= 1e-10 * scale
 
-        man, _, X = self._oblique_setup(rng)
-        with pytest.raises(DimensionGuard):
-            tangent_intersection_project(man, HugeConstraint(), X, np.zeros((6, 5)))
+    def test_modes_trace_matches_loop_route(self):
+        data = gen_modes_problem(128, 5, 50.0, 0.6)
+        problem = make_modes_problem(data)
+        x0 = init_modes(data, 0)
+        config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=200, tol=0.0)
+        pcg_run = gotd_run(problem, x0, config)
+        loop_run = gotd_run(loop_projector_problem(problem), x0, config)
+        assert pcg_run.status is loop_run.status is RunStatus.MAX_ITER
+        assert len(pcg_run.trace) == len(loop_run.trace) == 201
+        for a, b in zip(pcg_run.trace, loop_run.trace):
+            assert a.iteration == b.iteration
+            assert a.extra_metric == b.extra_metric
+            for x, y in ((a.f_value, b.f_value), (a.gf_norm, b.gf_norm)):
+                assert abs(x - y) <= 1e-10 * abs(y)
+            for x, y in ((a.feas_norm, b.feas_norm), (a.gh_norm, b.gh_norm)):
+                assert abs(x - y) <= 1e-9 * abs(y) + 1e-12
+
+    def test_unsolvable_reduced_system_raises(self, rng):
+        # an adjoint of the wrong sign makes B negative definite, so CG
+        # stops at once; the run ends ABORTED with the solver's reason
+        man, C, X = self._oblique_setup(rng)
+
+        class FlippedAdjoint(ObliqueConstraint):
+            def dh_adjoint(self, X, lam):
+                return super().dh_adjoint(X, -lam)
+
+        flipped = FlippedAdjoint(6, 5)
+        with pytest.raises(NotConverged, match="pcg stalled"):
+            tangent_intersection_project(man, flipped, X, rng.standard_normal((6, 5)))
+        G = rng.standard_normal((6, 5))
+        prob = Problem(man, flipped, lambda Xd: 0.0, lambda Xd: G)
+        res = gotd_run(prob, X, GotdConfig(max_iter=3))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason.startswith("iteration 0: pcg stalled")
 
 
 class TestOptimalityDirection:

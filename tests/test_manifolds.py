@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gotd import (
     DegenerateStep,
@@ -204,6 +206,28 @@ class TestSparsity:
         man = SparsityManifold(1, 3, 1)
         Y = man.project(np.array([[1.0, 1.0, 0.0]]))
         assert np.allclose(Y.values, [[1.0, 0.0, 0.0]])
+
+    @given(st.data())
+    def test_project_matches_stable_sort_selection(self, data):
+        # small integer magnitudes of both signs make ties the rule
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        Y = np.array(
+            data.draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)),
+            dtype=float,
+        ).reshape(m, n)
+        nnz = np.count_nonzero(Y)
+        assume(nnz >= 1)
+        s = data.draw(st.integers(1, nnz))
+        keep = np.argsort(-np.abs(Y).ravel(), kind="stable")[:s]
+        mask = np.zeros(m * n, dtype=bool)
+        mask[keep] = True
+        out = SparsityManifold(m, n, s).project(Y)
+        assert np.array_equal(out.support, mask.reshape(m, n))
+        assert np.array_equal(out.values, np.where(out.support, Y, 0.0))
+
+    def test_project_rejects_nan(self):
+        with pytest.raises(DegenerateStep):
+            SparsityManifold(1, 3, 1).project(np.array([[np.nan, 1.0, 0.0]]))
 
     def test_project_examples(self):
         man = SparsityManifold(1, 3, 2)
