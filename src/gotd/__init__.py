@@ -89,11 +89,9 @@ from .problems import (
     sphere_test_error,
 )
 from .solvers import (
-    LinearOperator,
     PcgResult,
     pcg,
     pinv_apply,
-    spd_solve,
     sym_sylvester_solve,
     truncated_svd,
 )

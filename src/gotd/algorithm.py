@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GotdError, NotConverged
 from .manifolds import norm
-from .solvers import LinearOperator, pcg
+from .solvers import pcg
 # no caller here; perfbench/test_checks.py checks that its tracer wraps this name
 from .solvers import pinv_apply  # noqa: F401
 
@@ -43,10 +43,10 @@ class Problem:
     the manifold's ``tangent_project`` takes, for instance a sparse matrix
     for a fixed-rank manifold.  The projection onto S(X) is
     :func:`tangent_intersection_project`, which needs only the contract
-    maps; a problem that knows a cheaper closed or factored form sets
-    ``fast_projector`` to replace it (the sphere pair, whose reduced Gram
-    operator is Dh Dh* itself, and the hyperbolic pair).  ``extra_metric``
-    is evaluated on traced iterates (test error, sparsity, cost ratio, ...).
+    maps; a problem that knows a cheaper factored form sets
+    ``fast_projector`` to replace it (the hyperbolic pair).
+    ``extra_metric`` is evaluated on traced iterates (test error,
+    sparsity, cost ratio, ...).
     """
 
     manifold: object
@@ -55,7 +55,6 @@ class Problem:
     grad_f: Callable[[object], object]
     fast_projector: Optional[Callable[[object, object], object]] = None
     extra_metric: Optional[Callable[[object], float]] = None
-    name: str = ""
 
 
 @dataclass
@@ -144,9 +143,9 @@ def tangent_intersection_project(manifold, constraint, point, xi):
     def phi(lam):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
-    B = LinearOperator(constraint.q, lambda lam: constraint.dh(point, phi(lam)), symmetric=True)
     result = pcg(
-        B, rhs, precond=lambda v: constraint.gram_solve(point, v),
+        lambda lam: constraint.dh(point, phi(lam)), rhs,
+        precond=lambda v: constraint.gram_solve(point, v),
         tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q,
     )
     if not result.converged:

@@ -219,7 +219,7 @@ def _read_config_file(path) -> dict:
     return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_KEYS = {f.name for f in fields(RunConfig)}
 _INT_KEYS = {"m", "n", "r", "r_true", "p", "max_iter", "trace_every", "seed"}
 _FLOAT_KEYS = {"os", "tail", "L", "rho", "alpha", "beta", "tol"}
 _BOOL_KEYS = {"postprocess_map"}
@@ -247,10 +247,10 @@ def parse_config(argv) -> tuple:
     merged = dict(_DEFAULTS[experiment])
     if args.config is not None:
         for key, val in _read_config_file(args.config).items():
-            if key not in _FIELD_TYPES or key == "experiment":
+            if key not in _FIELD_KEYS or key == "experiment":
                 raise UsageError(f"unknown config key: {key}")
             merged[key] = _coerce(key, val)
-    for key in _FIELD_TYPES:
+    for key in _FIELD_KEYS:
         if key == "experiment":
             continue
         flag_val = getattr(args, key, None)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotConverged, ShapeMismatch
 from .manifolds import FactoredPoint, FixedRankTangent
-from .solvers import LinearOperator, pcg
+from .solvers import pcg
 
 PCG_TOL = 1e-10
 PCG_MAX_ITER = 200
@@ -116,8 +116,10 @@ def project_hyperboloid_lowrank(
     )
 
     diag = reduced_gram_diag(ws)
-    op = LinearOperator(b.size, lambda w: apply_reduced_gram(ws, w), symmetric=True)
-    result = pcg(op, b, precond=lambda v: v / diag, tol=tol, max_iter=max_iter)
+    result = pcg(
+        lambda w: apply_reduced_gram(ws, w), b,
+        precond=lambda v: v / diag, tol=tol, max_iter=max_iter,
+    )
     if not result.converged:
         raise NotConverged(
             f"pcg stalled at {result.iters} iterations on the reduced system"

@@ -10,7 +10,7 @@ matrix.  Fixed-rank tangent vectors stay factored as well
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
 """
 
-import weakref
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,37 +257,19 @@ class SupportPoint:
     def shape(self):
         return self.values.shape
 
-    @property
+    @functools.cached_property
     def nnz(self) -> int:
+        """Size of the support, counted once per point."""
         return int(self.support.sum())
 
     def dense(self) -> np.ndarray:
         return self.values
 
 
-# the fixed-rank point densified last (weakly) and its read-only matrix
-_last_dense = (lambda: None, None)
-
-
 def as_dense(x) -> np.ndarray:
     """Ambient matrix of a manifold point, a tangent vector or a plain
-    array.
-
-    The matrix of the fixed-rank point densified last is kept, read-only,
-    so the dense consumers of one iterate (objective, gradient,
-    constraint) share a single m x n array, and no more than one is held.
-    """
-    global _last_dense
-    if isinstance(x, np.ndarray):
-        return x
-    if not isinstance(x, FactoredPoint):
-        return x.dense()
-    ref, dense = _last_dense
-    if ref() is not x:
-        dense = x.dense()
-        dense.flags.writeable = False
-        _last_dense = (weakref.ref(x), dense)
-    return dense
+    array."""
+    return x if isinstance(x, np.ndarray) else x.dense()
 
 
 def norm(v) -> float:

@@ -207,25 +207,12 @@ def init_sphere(prob: SphereFitProblem, seed: int) -> FactoredPoint:
 
 
 def make_sphere_problem(prob: SphereFitProblem) -> Problem:
-    manifold = FixedRankManifold(prob.m, prob.n, prob.r)
-    constraint = ObliqueConstraint(prob.m, prob.n)
-
-    def projector(point, xi):
-        # rows of a rank-r factored point lie in span(V), so the adjoint
-        # image 2 Diag(lam) X is already tangent and the intersection
-        # projection collapses to a single diagonal Gram solve
-        eta = manifold.tangent_project(point, xi)
-        lam = constraint.gram_solve(point, constraint.dh(point, eta))
-        return eta - constraint.dh_adjoint(point, lam)
-
     return Problem(
-        manifold=manifold,
-        constraint=constraint,
+        manifold=FixedRankManifold(prob.m, prob.n, prob.r),
+        constraint=ObliqueConstraint(prob.m, prob.n),
         f=lambda X: sphere_objective(prob, X),
         grad_f=lambda X: sphere_grad(prob, X),
-        fast_projector=projector,
         extra_metric=lambda X: sphere_test_error(prob, X),
-        name="sphere",
     )
 
 
@@ -264,11 +251,20 @@ def gen_hyperbolic_data(
     return HyperbolicFitProblem(np.vstack([top, spatial]), n, m, r_true, seed, tail_scale)
 
 
-def _lorentz_gaps(prob: HyperbolicFitProblem, X: np.ndarray) -> np.ndarray:
-    """u_i = -<x_i, target_i>_J = 2 x_0i t_0i - x_i . t_i, clamped at 1
-    from below."""
+def _lorentz_gaps(prob: HyperbolicFitProblem, X) -> np.ndarray:
+    """u_i = -<x_i, target_i>_J, clamped at 1 from below.
+
+    For a fixed-rank point x_i = U Sigma v_i, so u is the row sums of
+    -V .* ((J U Sigma)^T T)^T, one s x m product; for an array it is
+    2 x_0i t_0i - x_i . t_i.
+    """
     T = prob.targets
-    u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
+    if isinstance(X, FactoredPoint):
+        JA = X.u * X.sigma
+        JA[0] = -JA[0]
+        u = -np.einsum("ij,ji->i", X.v, JA.T @ T)
+    else:
+        u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
     if np.any(u < 1.0 - LORENTZ_SLACK):
         raise DomainViolation(
             f"Lorentz product {u.min():.6e} below 1; columns left the sheet"
@@ -278,14 +274,13 @@ def _lorentz_gaps(prob: HyperbolicFitProblem, X: np.ndarray) -> np.ndarray:
 
 def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
     """Sum of squared hyperbolic distances to the target columns."""
-    u = _lorentz_gaps(prob, as_dense(X))
+    u = _lorentz_gaps(prob, X)
     return float(np.sum(np.arccosh(u) ** 2))
 
 
 def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     """Column i is -2 g(u_i) J target_i with g(u) = arccosh(u)/sqrt(u^2-1),
     continued by its series value 1 - (u - 1)/3 near u = 1."""
-    X = as_dense(X)
     u = _lorentz_gaps(prob, X)
     safe = u > 1.0 + ARCCOSH_SERIES_CUT
     us = np.where(safe, u, 2.0)
@@ -332,7 +327,6 @@ def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:
         f=lambda X: hyperbolic_objective(prob, X),
         grad_f=lambda X: hyperbolic_grad(prob, X),
         fast_projector=projector,
-        name="hyperbolic",
     )
 
 
@@ -394,5 +388,4 @@ def make_modes_problem(prob: CompressedModesProblem) -> Problem:
         f=lambda X: modes_objective(prob, X),
         grad_f=lambda X: modes_grad(prob, X),
         extra_metric=sparsity_ratio,
-        name="modes",
     )

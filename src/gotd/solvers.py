@@ -1,7 +1,7 @@
-"""Shared numerical kernels: truncated SVD, SPD and pseudo-inverse solves,
-preconditioned conjugate gradients, and a symmetric Sylvester solve."""
+"""Shared numerical kernels: truncated SVD, a pseudo-inverse solve,
+preconditioned conjugate gradients on a matrix-free operator, and a
+symmetric Sylvester solve."""
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -10,22 +10,6 @@ from .errors import IllConditioned, RankDeficient
 
 RANK_RTOL = 1e-12
 COND_RTOL = 1e-12
-
-
-@dataclass
-class LinearOperator:
-    """Matrix-free linear map on real vectors of length ``dim``.
-
-    ``apply`` must be linear; set ``symmetric`` when the operator is
-    self-adjoint with respect to the Euclidean inner product.
-    """
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = False
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
 
 
 def truncated_svd(X: np.ndarray, r: int):
@@ -49,21 +33,6 @@ def truncated_svd(X: np.ndarray, r: int):
             f"sigma_1 = {s[0]:.3e}"
         )
     return U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy()
-
-
-def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via eigendecomposition.
-
-    Raises IllConditioned when the eigenvalue ratio drops below 1e-12.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d, Q = np.linalg.eigh(0.5 * (A + A.T))
-    if d[0] <= COND_RTOL * d[-1] or d[-1] <= 0:
-        raise IllConditioned(
-            f"eigenvalue ratio {d[0]:.3e} / {d[-1]:.3e} below {COND_RTOL:g}"
-        )
-    return Q @ ((Q.T @ b) / d)
 
 
 def pinv_apply(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -92,13 +61,14 @@ class PcgResult(NamedTuple):
 
 
 def pcg(
-    A: LinearOperator,
+    A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> PcgResult:
-    """Preconditioned conjugate gradients for symmetric PSD operators.
+    """Preconditioned conjugate gradients for a symmetric PSD operator,
+    given as the callable ``A(v) = A v``.
 
     Stops when ||A x - b|| <= tol * ||b||.  On budget exhaustion the best
     iterate seen (smallest residual) is returned with converged=False.

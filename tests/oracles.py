@@ -13,7 +13,6 @@ from gotd import (
     FactoredPoint,
     FixedRankManifold,
     HyperboloidConstraint,
-    LinearOperator,
     ObliqueConstraint,
     Problem,
     SparsityManifold,
@@ -252,8 +251,10 @@ def dense_hyperboloid_projector(j_diag):
         JX = U @ P + Q
         b = np.einsum("ij,ij->j", JX, eta)
         diag = reduced_gram_diag(ws)
-        op = LinearOperator(b.size, lambda w: apply_reduced_gram(ws, w), symmetric=True)
-        lam = pcg(op, b, precond=lambda v: v / diag, tol=PCG_TOL, max_iter=PCG_MAX_ITER).x
+        lam = pcg(
+            lambda w: apply_reduced_gram(ws, w), b,
+            precond=lambda v: v / diag, tol=PCG_TOL, max_iter=PCG_MAX_ITER,
+        ).x
         return eta - U @ (P * lam[None, :]) - ((Q * lam[None, :]) @ V) @ V.T
 
     return project

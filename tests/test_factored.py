@@ -339,19 +339,20 @@ class TestAgainstDenseRoute:
         assert res.status is RunStatus.MAX_ITER
         assert res.iterations == 10
 
-    def test_hyperbolic_step_shares_one_dense_matrix(self, monkeypatch):
-        calls = []
-        original = FactoredPoint.dense
-
-        def counted(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(FactoredPoint, "dense", counted)
+    def test_hyperbolic_run_builds_no_dense_matrix(self, monkeypatch):
+        # a whole run to tolerance, objective and f/f0 column included,
+        # on the factors alone
         data = gen_hyperbolic_data(20, 60, 3, 4)
         problem = make_hyperbolic_problem(data, 3)
-        problem.extra_metric = problem.f
-        res = gotd_run(problem, init_hyperbolic(data, 3),
-                       GotdConfig(alpha=1.0, beta=0.2, max_iter=10, tol=0.0))
-        assert res.iterations == 10
-        assert len(calls) == 11  # one per iterate
+        x0 = init_hyperbolic(data, 3)
+        f0 = problem.f(x0.dense())
+        problem.extra_metric = lambda X: problem.f(X) / f0
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.dense() on the hot path")
+
+        for cls in (FactoredPoint, FixedRankTangent, LowRankMatrix):
+            monkeypatch.setattr(cls, "dense", refuse)
+        res = gotd_run(problem, x0, GotdConfig(alpha=1.0, beta=0.2, max_iter=2000, tol=1e-10))
+        assert res.status is RunStatus.CONVERGED, res.reason
+        assert 0.0 < res.trace[-1].extra_metric < 1.0

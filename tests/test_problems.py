@@ -214,18 +214,20 @@ class TestHyperbolicData:
         assert np.abs(X0.sigma - ref.sigma).max() <= 1e-12
 
     def test_objective_and_grad_match_signature_form(self):
-        # u = -<x, t>_J and grad = -2 J T Diag(g), written with J explicitly
+        # u = -<x, t>_J and grad = -2 J T Diag(g), written with J explicitly,
+        # for a dense X and for X as a (full-rank) factored point
         data = gen_hyperbolic_data(10, 15, 3, 2)
         X = gen_hyperbolic_data(10, 15, 4, 3).targets
         j = np.ones(11)
         j[0] = -1.0
         u = -np.einsum("ij,ij->j", X, j[:, None] * data.targets)
         g = np.arccosh(u) / np.sqrt(u * u - 1.0)
-        assert hyperbolic_objective(data, X) == pytest.approx(
-            np.sum(np.arccosh(u) ** 2), rel=1e-13
-        )
         ref = -2.0 * (j[:, None] * data.targets) * g[None, :]
-        assert np.allclose(hyperbolic_grad(data, X), ref, rtol=1e-12, atol=0.0)
+        for Y in (X, FixedRankManifold(11, 15, 11).project(X)):
+            assert hyperbolic_objective(data, Y) == pytest.approx(
+                np.sum(np.arccosh(u) ** 2), rel=1e-13
+            )
+            assert np.allclose(hyperbolic_grad(data, Y), ref, rtol=1e-12, atol=0.0)
 
 
 class TestModesProblem:
