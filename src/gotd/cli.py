@@ -2,19 +2,19 @@
 
 Grammar::
 
-    gotd <experiment> [--key value]... [--config path]
+    gotd <experiment> [--key value]... [--config path] [--seeds A..B]
 
-with experiments ``sphere``, ``hyperbolic`` and ``modes``.  Values from a
-flat key=value config file (one pair per line, ``#`` comments) fill in
-anything not given as a flag; flags win.  Each run writes a CSV trace and
-prints a one-line summary on stdout.  Exit codes: 0 converged, 2 budget
-exhausted, 1 aborted or bad usage.
+with experiments ``sphere``, ``hyperbolic`` and ``modes``, each stated once
+in ``EXPERIMENTS``.  A config file's ``key = value`` lines (``#`` comments;
+keys are flag names, with ``_`` or ``-``) are read as flags placed before
+the command line's, so the same parser checks them and flags win.  Each
+run writes a CSV trace and prints a one-line summary on stdout.  Exit
+codes: 0 converged, 2 budget exhausted, 1 aborted, bad usage or an
+unwritable ``--out``.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
 
 from .algorithm import GotdConfig, RunStatus, gotd_run, write_trace_csv
 from .errors import GotdError, UsageError
@@ -35,63 +35,50 @@ MAP_TOL = 1e-10
 MAP_MAX_ITER = 100
 
 
-@dataclass
-class RunConfig:
-    """One experiment invocation, fully resolved."""
-
-    experiment: str
-    # problem parameters (per experiment; unused ones stay None)
-    m: Optional[int] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-    os: Optional[float] = None
-    r_true: Optional[int] = None
-    tail: Optional[float] = None
-    p: Optional[int] = None
-    L: Optional[float] = None
-    rho: Optional[float] = None
-    # run parameters
-    alpha: float = 1.0
-    beta: Optional[float] = None
-    tol: float = 1e-10
-    max_iter: Optional[int] = None
-    trace_every: int = 1
-    seed: int = 0
-    out: Optional[str] = None
-    postprocess_map: bool = False
-
-    def validate(self):
-        if self.alpha <= 0:
-            raise UsageError("alpha must be positive")
-        if self.beta is not None and self.beta <= 0:
-            raise UsageError("beta must be positive")
-        if self.tol < 0:
-            raise UsageError("tol must be nonnegative")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise UsageError("max-iter must be at least 1")
-        if self.trace_every < 1:
-            raise UsageError("trace-every must be at least 1")
-        required = {
-            "sphere": ("m", "n", "r", "os"),
-            "hyperbolic": ("n", "m", "r_true", "r"),
-            "modes": ("n", "p", "L", "rho"),
-        }[self.experiment]
-        for key in required:
-            if getattr(self, key) is None:
-                raise UsageError(f"missing parameter --{key.replace('_', '-')}")
-            if not getattr(self, key) > 0:
-                raise UsageError(f"parameter {key} must be positive")
-
-
-_DEFAULTS = {
-    "sphere": {"beta": 10.0, "max_iter": 2000},
-    "hyperbolic": {"beta": 0.2, "max_iter": 2000, "tail": 0.3},
-    "modes": {"max_iter": 5000},  # beta defaults to L^2 / (4 n^2)
+# experiment -> (help, parameter types, defaults).  A parameter with neither
+# a default nor type bool is required and must be positive.
+EXPERIMENTS = {
+    "sphere": (
+        "low-rank fit of unit-norm rows",
+        {"m": int, "n": int, "r": int, "os": float},
+        {"beta": 10.0, "max_iter": 2000},
+    ),
+    "hyperbolic": (
+        "low-rank hyperbolic embedding fit",
+        {"n": int, "m": int, "r_true": int, "r": int, "tail": float,
+         "postprocess_map": bool},
+        {"beta": 0.2, "max_iter": 2000, "tail": 0.3},
+    ),
+    "modes": (
+        "compressed modes",
+        {"n": int, "p": int, "L": float, "rho": float},
+        {"max_iter": 5000},  # beta defaults to L^2 / (4 n^2)
+    ),
 }
 
 
-def _build(config: RunConfig):
-    """Instantiate (problem, x0, beta) for a resolved RunConfig."""
+def _seed_range(text) -> range:
+    """``A..B`` as the seeds A through B."""
+    a, _, b = text.partition("..")
+    try:
+        seeds = range(int(a), int(b) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+# flags every experiment takes; their defaults are set in build_parser
+RUN_FLAGS = {
+    "alpha": float, "beta": float, "tol": float, "max_iter": int,
+    "trace_every": int, "seed": int, "seeds": _seed_range, "out": str,
+    "config": str,
+}
+
+
+def _build(config):
+    """Instantiate (problem, x0, beta) for parsed flags."""
     if config.experiment == "sphere":
         data = gen_sphere_data(config.m, config.n, config.r, config.os, config.seed)
         problem = make_sphere_problem(data)
@@ -103,8 +90,8 @@ def _build(config: RunConfig):
         )
         problem = make_hyperbolic_problem(data, config.r)
         x0 = init_hyperbolic(data, config.r)
-        f0 = problem.f(x0)
-        problem.extra_metric = lambda X: problem.f(X) / f0
+        f, f0 = problem.f, problem.f(x0)
+        problem.extra_metric = lambda X: f(X) / f0  # no cycle through problem
         beta = config.beta
     else:
         data = gen_modes_problem(config.n, config.p, config.L, config.rho)
@@ -114,21 +101,21 @@ def _build(config: RunConfig):
     return problem, x0, beta
 
 
-def run_experiment(config: RunConfig) -> int:
+def _gotd_config(config, beta) -> GotdConfig:
+    try:
+        return GotdConfig(alpha=config.alpha, beta=beta, max_iter=config.max_iter,
+                          tol=config.tol, trace_every=config.trace_every)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def run_experiment(config) -> int:
     """Build the problem, run the iteration, write the trace, print the
     summary.  Returns the process exit code."""
-    config.validate()
-    problem, x0, beta = _build(config)
-    run_cfg = GotdConfig(
-        alpha=config.alpha,
-        beta=beta,
-        max_iter=config.max_iter,
-        tol=config.tol,
-        trace_every=config.trace_every,
-    )
-    result = gotd_run(problem, x0, run_cfg)
-
     out_path = config.out or f"gotd_{config.experiment}_seed{config.seed}.csv"
+    open(out_path, "a").close()  # an unwritable path fails here, not after the run
+    problem, x0, beta = _build(config)
+    result = gotd_run(problem, x0, _gotd_config(config, beta))
     write_trace_csv(result.trace, out_path)
 
     last = result.trace[-1] if result.trace else None
@@ -141,7 +128,7 @@ def run_experiment(config: RunConfig) -> int:
         f"feas={last.feas_norm if last else float('nan'):.6e} "
         f"extra={extra}"
     )
-    if config.postprocess_map and result.status is not RunStatus.ABORTED:
+    if getattr(config, "postprocess_map", False) and result.status is not RunStatus.ABORTED:
         mapped = alternating_projections(
             problem.manifold,
             problem.constraint,
@@ -162,111 +149,74 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser):
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--trace-every", dest="trace_every", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--seeds", type=str, default=None, metavar="A..B",
-                        help="run seeds A through B sequentially")
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gotd", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    sp = sub.add_parser("sphere", help="low-rank fit of unit-norm rows")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--os", type=float, default=None)
-    _add_common(sp)
-
-    hy = sub.add_parser("hyperbolic", help="low-rank hyperbolic embedding fit")
-    hy.add_argument("--n", type=int, default=None)
-    hy.add_argument("--m", type=int, default=None)
-    hy.add_argument("--r-true", dest="r_true", type=int, default=None)
-    hy.add_argument("--r", type=int, default=None)
-    hy.add_argument("--tail", type=float, default=None)
-    hy.add_argument("--postprocess-map", dest="postprocess_map",
-                    action="store_true", default=None)
-    _add_common(hy)
-
-    mo = sub.add_parser("modes", help="compressed modes")
-    mo.add_argument("--n", type=int, default=None)
-    mo.add_argument("--p", type=int, default=None)
-    mo.add_argument("--L", type=float, default=None)
-    mo.add_argument("--rho", type=float, default=None)
-    _add_common(mo)
+    for name, (help_text, params, defaults) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for key, kind in {**params, **RUN_FLAGS}.items():
+            if kind is bool:
+                sp.add_argument(_flag(key), action="store_true")
+            else:
+                sp.add_argument(_flag(key), type=kind)
+        sp.set_defaults(alpha=1.0, tol=1e-10, trace_every=1, seed=0, **defaults)
     return parser
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
-
-
-_FIELD_KEYS = {f.name for f in fields(RunConfig)}
-_INT_KEYS = {"m", "n", "r", "r_true", "p", "max_iter", "trace_every", "seed"}
-_FLOAT_KEYS = {"os", "tail", "L", "rho", "alpha", "beta", "tol"}
-_BOOL_KEYS = {"postprocess_map"}
-
-
-def _coerce(key: str, val: str):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _BOOL_KEYS:
-        if val.lower() in ("1", "true", "yes", "on"):
-            return True
-        if val.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"cannot parse boolean {key}={val}")
-    return val
+def _config_flags(path, kinds) -> list:
+    """The flags a ``key = value`` config file stands for; ``kinds`` maps
+    each accepted key to its type."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    flags = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        kind = kinds.get(key.replace("-", "_"))
+        if kind is None:
+            raise UsageError(f"unknown config key: {key}")
+        if kind is not bool:
+            flags.append(f"{_flag(key)}={val}")
+        elif val.lower() in ("1", "true", "yes", "on"):
+            flags.append(_flag(key))
+        elif val.lower() not in ("0", "false", "no", "off"):
+            raise UsageError(f"cannot parse boolean {key}={val}")
+    return flags
 
 
 def parse_config(argv) -> tuple:
-    """Resolve argv (+ optional config file) into a RunConfig and the
-    optional seed range.  Precedence: flags > config file > defaults."""
-    args = build_parser().parse_args(argv)
-    experiment = args.experiment
-    merged = dict(_DEFAULTS[experiment])
+    """Resolve argv (and the config file it names) into the parsed flags
+    and the optional seed range, or raise UsageError.  Precedence: flags >
+    config file > defaults."""
+    argv = list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _, params, defaults = EXPERIMENTS[args.experiment]
     if args.config is not None:
-        for key, val in _read_config_file(args.config).items():
-            if key not in _FIELD_KEYS or key == "experiment":
-                raise UsageError(f"unknown config key: {key}")
-            merged[key] = _coerce(key, val)
-    for key in _FIELD_KEYS:
-        if key == "experiment":
+        flags = _config_flags(args.config, {**params, **RUN_FLAGS})
+        i = argv.index(args.experiment) + 1
+        args = parser.parse_args(argv[:i] + flags + argv[i:])
+    for key, kind in params.items():
+        if kind is bool or key in defaults:
             continue
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    merged.setdefault("postprocess_map", False)
-    config = RunConfig(experiment=experiment, **merged)
-
-    seeds = None
-    if args.seeds is not None:
-        try:
-            a, b = args.seeds.split("..")
-            seeds = range(int(a), int(b) + 1)
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --seeds {args.seeds!r}") from exc
-    return config, seeds
+        if getattr(args, key) is None:
+            raise UsageError(f"missing parameter {_flag(key)}")
+        if not getattr(args, key) > 0:
+            raise UsageError(f"parameter {key} must be positive")
+    # checks the run parameters; the modes default beta, L^2 / (4 n^2), is positive
+    _gotd_config(args, 1.0 if args.beta is None else args.beta)
+    return args, args.seeds
 
 
 def main(argv=None) -> int:
@@ -286,7 +236,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except GotdError as exc:
+    except (GotdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

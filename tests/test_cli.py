@@ -1,7 +1,21 @@
+import gc
+import weakref
+
 import pytest
 
 from gotd import UsageError, read_trace_csv
 from gotd.cli import _build, main, parse_config
+
+
+REQUIRED = {
+    "sphere": {"m": "10", "n": "10", "r": "1", "os": "1"},
+    "hyperbolic": {"n": "10", "m": "24", "r-true": "3", "r": "3"},
+    "modes": {"n": "32", "p": "3", "L": "50", "rho": "0.5"},
+}
+
+
+def _flags(params):
+    return [token for k, v in params.items() for token in (f"--{k}", v)]
 
 
 class TestParsing:
@@ -22,25 +36,66 @@ class TestParsing:
 
     def test_modes_beta_default_follows_grid(self, tmp_path):
         cfg, _ = parse_config(["modes", "--n", "32", "--p", "3", "--L", "50", "--rho", "0.5"])
-        cfg.validate()
         _, _, beta = _build(cfg)
         assert beta == pytest.approx(50.0**2 / (4 * 32**2))
 
     def test_negative_beta_rejected(self):
-        cfg, _ = parse_config(
-            ["sphere", "--m", "10", "--n", "10", "--r", "1", "--os", "1", "--beta", "-1"]
-        )
         with pytest.raises(UsageError):
-            cfg.validate()
+            parse_config(
+                ["sphere", "--m", "10", "--n", "10", "--r", "1", "--os", "1", "--beta", "-1"]
+            )
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError):
             parse_config(["sphere", "--bogus", "3"])
 
     def test_missing_parameter_rejected(self):
-        cfg, _ = parse_config(["sphere", "--m", "10", "--n", "10", "--r", "1"])
         with pytest.raises(UsageError):
-            cfg.validate()
+            parse_config(["sphere", "--m", "10", "--n", "10", "--r", "1"])
+
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [(e, k) for e, params in REQUIRED.items() for k in params],
+    )
+    def test_each_required_parameter_missing_or_nonpositive(self, experiment, key):
+        args = {k: v for k, v in REQUIRED[experiment].items() if k != key}
+        with pytest.raises(UsageError, match="missing parameter"):
+            parse_config([experiment, *_flags(args)])
+        with pytest.raises(UsageError, match="must be positive"):
+            parse_config([experiment, *_flags(args), f"--{key}", "0"])
+
+    def test_postprocess_map_from_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        base = [f"{k} = {v}" for k, v in REQUIRED["hyperbolic"].items()]
+        for line, expected in [("postprocess_map = true", True),
+                               ("postprocess-map = off", False),
+                               ("postprocess_map = false", False)]:
+            path.write_text("\n".join(base + [line]) + "\n")
+            cfg, _ = parse_config(["hyperbolic", "--config", str(path)])
+            assert cfg.postprocess_map is expected
+        path.write_text("postprocess_map = maybe\n")
+        with pytest.raises(UsageError):
+            parse_config(["hyperbolic", "--config", str(path)])
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        args = ["sphere", "--config", str(tmp_path / "absent.cfg")]
+        with pytest.raises(UsageError):
+            parse_config(args)
+        assert main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("m = abc\nn = 10\nr = 1\nos = 1\n")
+        with pytest.raises(UsageError):
+            parse_config(["sphere", "--config", str(path)])
+
+    def test_empty_seed_range_rejected(self):
+        with pytest.raises(UsageError):
+            parse_config(
+                ["sphere", "--m", "10", "--n", "10", "--r", "1", "--os", "1",
+                 "--seeds", "5..2"]
+            )
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -125,6 +180,37 @@ class TestRuns:
         assert code in (0, 2)
         records = read_trace_csv(out)
         assert records[-1].extra_metric == pytest.approx(1.0 - 48 / 96)
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "trace.csv"
+        code = main(
+            ["sphere", "--m", "40", "--n", "36", "--r", "2", "--os", "3",
+             "--beta", "1", "--max-iter", "5", "--out", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no run, so no summary line
+        assert captured.err.startswith("error:")
+
+    def test_zero_budget_evaluates_the_start_point(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        code = main(
+            ["sphere", "--m", "40", "--n", "36", "--r", "2", "--os", "3",
+             "--beta", "1", "--max-iter", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert [r.iteration for r in read_trace_csv(out)] == [0]
+
+    def test_build_leaves_no_reference_cycle(self):
+        cfg, _ = parse_config(["hyperbolic", *_flags(REQUIRED["hyperbolic"])])
+        gc.disable()
+        try:
+            problem, _, _ = _build(cfg)
+            ref = weakref.ref(problem)
+            del problem
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_seed_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
