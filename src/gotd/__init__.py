@@ -75,6 +75,7 @@ from .problems import (
     gen_sphere_data,
     hyperbolic_grad,
     hyperbolic_objective,
+    hyperbolic_value_and_grad,
     init_hyperbolic,
     init_modes,
     init_sphere,
@@ -83,16 +84,19 @@ from .problems import (
     make_sphere_problem,
     modes_grad,
     modes_objective,
+    modes_value_and_grad,
     sparsity_ratio,
     sphere_grad,
     sphere_objective,
     sphere_test_error,
+    sphere_value_and_grad,
 )
 from .solvers import (
     PcgResult,
     pcg,
     pinv_apply,
     sym_sylvester_solve,
+    sym_sylvester_solver,
     truncated_svd,
 )
 

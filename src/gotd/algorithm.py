@@ -36,12 +36,17 @@ PCG_ITERS_PER_DIM = 2
 class Problem:
     """Objective + constraint pair defining one run.
 
-    ``f``, ``grad_f`` and ``extra_metric`` receive the manifold point
-    itself (a :class:`~gotd.manifolds.FactoredPoint`, a
+    ``f``, ``grad_f``, ``value_and_grad`` and ``extra_metric`` receive the
+    manifold point itself (a :class:`~gotd.manifolds.FactoredPoint`, a
     :class:`~gotd.manifolds.SupportPoint`, ...); the package's objectives
     accept dense arrays as well.  ``grad_f`` may return any operand that
     the manifold's ``tangent_project`` takes, for instance a sparse matrix
-    for a fixed-rank manifold.  The projection onto S(X) is
+    for a fixed-rank manifold.  ``value_and_grad``, when set, returns
+    ``(f, grad)`` from one evaluation of the point, and the loop calls it
+    once per iterate in place of ``f`` and ``grad_f``; its gradient may
+    already be projected onto the tangent space of M (the hyperbolic pair
+    returns a :class:`~gotd.manifolds.FixedRankTangent`), because only
+    that projection enters the step.  The projection onto S(X) is
     :func:`tangent_intersection_project`, which needs only the contract
     maps; a problem that knows a cheaper factored form sets
     ``fast_projector`` to replace it (the hyperbolic pair).
@@ -55,6 +60,7 @@ class Problem:
     grad_f: Callable[[object], object]
     fast_projector: Optional[Callable[[object, object], object]] = None
     extra_metric: Optional[Callable[[object], float]] = None
+    value_and_grad: Optional[Callable[[object], tuple]] = None
 
 
 @dataclass
@@ -103,25 +109,29 @@ class GotdResult:
         return self.trace[-1].iteration if self.trace else 0
 
 
-def gauss_newton_direction(constraint, X, hv=None):
+def gauss_newton_direction(constraint, X, hv=None, gram=None):
     """d = -Dh* (Dh Dh*)^{-1} h(X): the least-squares step toward {h = 0}
     within the normal space of the level set through X.
 
-    ``hv`` is h(X) when the caller has it already.
+    ``hv`` is h(X) and ``gram`` is ``constraint.gram_solver(X)`` when the
+    caller has them already.
     """
     if hv is None:
         hv = constraint.value(X)
-    lam = constraint.gram_solve(X, hv)
-    return -constraint.dh_adjoint(X, lam)
+    if gram is None:
+        gram = constraint.gram_solver(X)
+    return -constraint.dh_adjoint(X, gram(hv))
 
 
-def feasibility_direction(manifold, constraint, point, hv=None):
+def feasibility_direction(manifold, constraint, point, hv=None, gram=None):
     """Gauss--Newton direction projected onto the tangent space of M;
-    ``hv`` is h(point) when the caller has it already."""
-    return manifold.tangent_project(point, gauss_newton_direction(constraint, point, hv))
+    ``hv`` and ``gram`` as in :func:`gauss_newton_direction`."""
+    return manifold.tangent_project(
+        point, gauss_newton_direction(constraint, point, hv, gram)
+    )
 
 
-def tangent_intersection_project(manifold, constraint, point, xi):
+def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     """Orthogonal projection of xi onto S(X), the part of the tangent
     space of M annihilated by Dh_X.
 
@@ -130,9 +140,10 @@ def tangent_intersection_project(manifold, constraint, point, xi):
         P_S(xi) = xi_bar - Phi(lam),   B lam = Dh(xi_bar),   xi_bar = P_T(xi).
 
     B is applied matrix-free through the contract maps and the system is
-    solved by conjugate gradients preconditioned with ``gram_solve``,
-    the inverse of Dh Dh*.  B = Phi^T Phi may be singular (for instance
-    at a sparsity point whose columns have disjoint supports), but the
+    solved by conjugate gradients preconditioned with the inverse of
+    Dh Dh*, ``gram`` (``constraint.gram_solver(point)`` unless the caller
+    has it already).  B = Phi^T Phi may be singular (for instance at a
+    sparsity point whose columns have disjoint supports), but the
     right-hand side Phi^T xi_bar lies in its range, CG from zero stays
     there, and every solution gives the same Phi(lam).  Raises
     NotConverged when CG misses ``PCG_TOL`` within its budget.
@@ -145,7 +156,7 @@ def tangent_intersection_project(manifold, constraint, point, xi):
 
     result = pcg(
         lambda lam: constraint.dh(point, phi(lam)), rhs,
-        precond=lambda v: constraint.gram_solve(point, v),
+        precond=constraint.gram_solver(point) if gram is None else gram,
         tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q,
     )
     if not result.converged:
@@ -155,19 +166,43 @@ def tangent_intersection_project(manifold, constraint, point, xi):
     return xi_bar - phi(result.x)
 
 
-def optimality_direction(problem: Problem, point):
+def optimality_direction(problem: Problem, point, grad=None, gram=None):
     """Projection of -grad f onto S(X), through the fast projector when
-    the problem provides one."""
-    xi = -problem.grad_f(point)
+    the problem provides one.
+
+    ``grad`` is the gradient at the point when the caller has it already
+    (it may be tangent-projected), and ``gram`` the constraint's Gram
+    solver there.
+    """
+    if grad is None:
+        grad = problem.grad_f(point)
+    xi = -grad
     if problem.fast_projector is not None:
         return problem.fast_projector(point, xi)
-    return tangent_intersection_project(problem.manifold, problem.constraint, point, xi)
+    return tangent_intersection_project(
+        problem.manifold, problem.constraint, point, xi, gram
+    )
+
+
+def _evaluate(problem: Problem, point):
+    """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
+    gradient, one of h and one factorization of Dh Dh*."""
+    if problem.value_and_grad is not None:
+        f_val, grad = problem.value_and_grad(point)
+    else:
+        f_val, grad = problem.f(point), problem.grad_f(point)
+    constraint = problem.constraint
+    hv = constraint.value(point)
+    gram = constraint.gram_solver(point)
+    gh = feasibility_direction(problem.manifold, constraint, point, hv, gram)
+    gf = optimality_direction(problem, point, grad, gram)
+    return float(f_val), float(np.linalg.norm(hv)), gh, gf
 
 
 def gotd_step(problem: Problem, point, alpha: float, beta: float):
-    """One update: returns (next point, ||G_h||, ||G_f||)."""
-    gh = feasibility_direction(problem.manifold, problem.constraint, point)
-    gf = optimality_direction(problem, point)
+    """One update, evaluated as in :func:`gotd_run`: returns (next point,
+    ||G_h||, ||G_f||)."""
+    _, _, gh, gf = _evaluate(problem, point)
     new_point = problem.manifold.retract(point, alpha * gh + beta * gf)
     return new_point, norm(gh), norm(gf)
 
@@ -178,6 +213,9 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
 
     The point itself is handed to the objective, the constraint and the
     projections, so a factored iterate stays factored through the step.
+    Each iterate is evaluated once: ``value_and_grad`` (or ``f`` and
+    ``grad_f``), ``h`` and the Gram solver of Dh Dh* are computed once and
+    shared by both directions.
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  Any numerical
     failure (rank collapse, singular Gram, degenerate retraction,
@@ -190,13 +228,7 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     for k in range(config.max_iter + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                f_val = float(problem.f(point))
-                hv = problem.constraint.value(point)
-                feas = float(np.linalg.norm(hv))
-                gh_vec = feasibility_direction(
-                    problem.manifold, problem.constraint, point, hv
-                )
-                gf_vec = optimality_direction(problem, point)
+                f_val, feas, gh_vec, gf_vec = _evaluate(problem, point)
         except (GotdError, np.linalg.LinAlgError) as exc:
             return GotdResult(
                 point, trace, RunStatus.ABORTED, f"iteration {k}: {exc}"

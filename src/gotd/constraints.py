@@ -1,8 +1,9 @@
 """Level-set constraint maps h with zero set H = {h = 0}.
 
 Three instances share one contract -- ``value``, ``dh`` (differential),
-``dh_adjoint``, ``gram_solve`` (inverse of Dh Dh*) and ``project`` (metric
-projection onto H):
+``dh_adjoint``, ``gram_solver`` (the inverse of Dh Dh*, factored once at a
+point and returned as a callable), ``gram_solve`` (one such solve) and
+``project`` (metric projection onto H):
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateProjection, IllConditioned, ShapeMismatch
 from .manifolds import FactoredPoint, FixedRankTangent, LowRankMatrix, as_dense
-from .solvers import COND_RTOL, sym_sylvester_solve
+from .solvers import COND_RTOL, sym_sylvester_solver
 
 SECULAR_TOL = 1e-12
 SECULAR_MAX_ITER = 100
@@ -101,13 +102,16 @@ class ObliqueConstraint:
             return FixedRankTangent(X.u, X.v, M, L - X.u @ M, np.zeros_like(X.v))
         return 2.0 * lam[:, None] * as_dense(X)
 
-    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+    def gram_solver(self, X):
         """Dh Dh* is diagonal with entries 4 ||row_i||^2."""
         self._check(X)
         g = 4.0 * _row_sq_norms(X)
         if g.min() <= COND_RTOL * g.max():
             raise IllConditioned("a row of X is (numerically) zero")
-        return b / g
+        return lambda b: b / g
+
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+        return self.gram_solver(X)(b)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         self._check(Y)
@@ -168,7 +172,7 @@ class HyperboloidConstraint:
             return LowRankMatrix(2.0 * self._ja(X), lam[:, None] * X.v)
         return 2.0 * (self.j_diag[:, None] * as_dense(X)) * lam[None, :]
 
-    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+    def gram_solver(self, X):
         """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I);
         ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
         self._check(X)
@@ -180,7 +184,10 @@ class HyperboloidConstraint:
             g = 4.0 * np.einsum("ij,ij->j", X, X)
         if g.min() <= COND_RTOL * g.max():
             raise IllConditioned("a column of X is (numerically) zero")
-        return b / g
+        return lambda b: b / g
+
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+        return self.gram_solver(X)(b)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Columnwise closest point on {x^T J x = -1, x_1 > 0}.
@@ -268,13 +275,16 @@ class StiefelConstraint:
         self._check(X)
         return 2.0 * as_dense(X) @ unflatten_sym(lam, self.p)
 
-    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
-        """Invert lam -> flatten_sym(2 (G L + L G)) with G = X^T X."""
+    def gram_solver(self, X):
+        """Invert lam -> flatten_sym(2 (G L + L G)) with G = X^T X, whose
+        eigendecomposition is taken once here."""
         self._check(X)
         X = as_dense(X)
-        G = X.T @ X
-        L = sym_sylvester_solve(G, unflatten_sym(b, self.p) / 2.0)
-        return flatten_sym(L)
+        sylvester = sym_sylvester_solver(X.T @ X)
+        return lambda b: flatten_sym(sylvester(unflatten_sym(b, self.p) / 2.0))
+
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+        return self.gram_solver(X)(b)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Polar factor of Y: the closest matrix with orthonormal columns."""

@@ -113,10 +113,15 @@ class FixedRankTangent:
         """
         if isinstance(Z, FixedRankTangent) and Z.at(X):
             return Z
+        return cls.from_products(X, Z @ X.v, Z.T @ X.u)
+
+    @classmethod
+    def from_products(cls, X: FactoredPoint, ZV, ZtU) -> "FixedRankTangent":
+        """Orthogonal projection onto the tangent space at X of an operand
+        Z known only through ``Z V`` (m, r) and ``Z^T U`` (n, r)."""
         U, V = X.u, X.v
-        ZV = Z @ V
         M = U.T @ ZV
-        return cls(U, V, M, ZV - U @ M, Z.T @ U - V @ M.T)
+        return cls(U, V, M, ZV - U @ M, ZtU - V @ M.T)
 
     def at(self, X) -> bool:
         """Whether this vector is stored in the factors of point X."""

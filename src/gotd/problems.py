@@ -2,8 +2,10 @@
 approximation of hyperbolic embeddings (synthetic), and compressed modes.
 
 Each experiment comes as a data container, a  deterministic generator,
-objective/gradient functions, an initializer, and a ``make_*_problem``
-wiring function that assembles a :class:`~gotd.algorithm.Problem`.
+objective/gradient functions, a fused ``*_value_and_grad`` that evaluates
+both from one pass over the point, an initializer, and a
+``make_*_problem`` wiring function that assembles a
+:class:`~gotd.algorithm.Problem`.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ from .fastproj import build_workspace, project_hyperboloid_lowrank
 from .manifolds import (
     FactoredPoint,
     FixedRankManifold,
+    FixedRankTangent,
     SparsityManifold,
     SupportPoint,
     as_dense,
@@ -177,12 +180,19 @@ def sphere_objective(prob: SphereFitProblem, X) -> float:
 def sphere_grad(prob: SphereFitProblem, X):
     """The gradient is supported on Omega: a :class:`CooMatrix` for a
     fixed-rank point, a dense array for a dense X."""
+    return sphere_value_and_grad(prob, X)[1]
+
+
+def sphere_value_and_grad(prob: SphereFitProblem, X):
+    """Objective and gradient (as in :func:`sphere_grad`) from one gather
+    of X on Omega."""
     resid = _sampled(X, prob.omega) - prob.target_omega
+    f_val = 0.5 * float(np.linalg.norm(resid) ** 2)
     if isinstance(X, FactoredPoint):
-        return CooMatrix(prob.omega_pattern, resid)
+        return f_val, CooMatrix(prob.omega_pattern, resid)
     g = np.zeros_like(as_dense(X))
     g[prob.omega] = resid
-    return g
+    return f_val, g
 
 
 def sphere_test_error(prob: SphereFitProblem, X) -> float:
@@ -213,6 +223,7 @@ def make_sphere_problem(prob: SphereFitProblem) -> Problem:
         f=lambda X: sphere_objective(prob, X),
         grad_f=lambda X: sphere_grad(prob, X),
         extra_metric=lambda X: sphere_test_error(prob, X),
+        value_and_grad=lambda X: sphere_value_and_grad(prob, X),
     )
 
 
@@ -251,25 +262,53 @@ def gen_hyperbolic_data(
     return HyperbolicFitProblem(np.vstack([top, spatial]), n, m, r_true, seed, tail_scale)
 
 
-def _lorentz_gaps(prob: HyperbolicFitProblem, X) -> np.ndarray:
+def _signature_pairing(prob: HyperbolicFitProblem, X: FactoredPoint) -> np.ndarray:
+    """P = (J U)^T T, s x m, so that x_i^T J t_i = (Sigma v_i)^T p_i for
+    the fixed-rank point X = U Sigma V^T."""
+    JU = X.u.copy()
+    JU[0] = -JU[0]
+    return JU.T @ prob.targets
+
+
+def _lorentz_gaps(prob: HyperbolicFitProblem, X, P=None) -> np.ndarray:
     """u_i = -<x_i, target_i>_J, clamped at 1 from below.
 
-    For a fixed-rank point x_i = U Sigma v_i, so u is the row sums of
-    -V .* ((J U Sigma)^T T)^T, one s x m product; for an array it is
-    2 x_0i t_0i - x_i . t_i.
+    For a fixed-rank point u is the row sums of -(V Sigma) .* P^T with
+    P from :func:`_signature_pairing` (passed in when the caller has it);
+    for an array it is 2 x_0i t_0i - x_i . t_i.
     """
-    T = prob.targets
     if isinstance(X, FactoredPoint):
-        JA = X.u * X.sigma
-        JA[0] = -JA[0]
-        u = -np.einsum("ij,ji->i", X.v, JA.T @ T)
+        if P is None:
+            P = _signature_pairing(prob, X)
+        u = -np.einsum("ij,ji->i", X.v * X.sigma, P)
     else:
+        T = prob.targets
         u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
     if np.any(u < 1.0 - LORENTZ_SLACK):
         raise DomainViolation(
             f"Lorentz product {u.min():.6e} below 1; columns left the sheet"
         )
     return np.maximum(u, 1.0)
+
+
+def _gradient_weights(u: np.ndarray) -> np.ndarray:
+    """w = -2 g(u) with g(u) = arccosh(u)/sqrt(u^2-1), continued by its
+    series value 1 - (u - 1)/3 near u = 1."""
+    safe = u > 1.0 + ARCCOSH_SERIES_CUT
+    us = np.where(safe, u, 2.0)
+    g = np.where(
+        safe,
+        np.arccosh(us) / np.sqrt(us * us - 1.0),
+        1.0 - (u - 1.0) / 3.0,
+    )
+    return -2.0 * g
+
+
+def _weighted_targets(prob: HyperbolicFitProblem, w: np.ndarray) -> np.ndarray:
+    """J T Diag(w), with J applied last as a sign flip of row 0."""
+    out = prob.targets * w[None, :]
+    out[0] = -out[0]
+    return out
 
 
 def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
@@ -281,18 +320,27 @@ def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
 def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     """Column i is -2 g(u_i) J target_i with g(u) = arccosh(u)/sqrt(u^2-1),
     continued by its series value 1 - (u - 1)/3 near u = 1."""
-    u = _lorentz_gaps(prob, X)
-    safe = u > 1.0 + ARCCOSH_SERIES_CUT
-    us = np.where(safe, u, 2.0)
-    g = np.where(
-        safe,
-        np.arccosh(us) / np.sqrt(us * us - 1.0),
-        1.0 - (u - 1.0) / 3.0,
-    )
-    # J T Diag(-2 g) with J applied last, as a sign flip of row 0
-    out = prob.targets * (-2.0 * g)[None, :]
-    out[0] = -out[0]
-    return out
+    return _weighted_targets(prob, _gradient_weights(_lorentz_gaps(prob, X)))
+
+
+def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X):
+    """Objective and gradient from one computation of the gaps.
+
+    At a fixed-rank point the gradient G = J T Diag(w) enters the step
+    only through its tangent projection, which needs G^T U = Diag(w) P^T
+    (P is reused from the gaps) and G V = J T (w .* V), one (n+1) x s
+    product; the projection is returned as a :class:`FixedRankTangent`
+    and no (n+1) x m array is formed.  An array gets the dense gradient.
+    """
+    P = _signature_pairing(prob, X) if isinstance(X, FactoredPoint) else None
+    u = _lorentz_gaps(prob, X, P)
+    w = _gradient_weights(u)
+    f_val = float(np.sum(np.arccosh(u) ** 2))
+    if P is None:
+        return f_val, _weighted_targets(prob, w)
+    GV = prob.targets @ (w[:, None] * X.v)
+    GV[0] = -GV[0]
+    return f_val, FixedRankTangent.from_products(X, GV, w[:, None] * P.T)
 
 
 def init_hyperbolic(prob: HyperbolicFitProblem, r: int) -> FactoredPoint:
@@ -327,6 +375,7 @@ def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:
         f=lambda X: hyperbolic_objective(prob, X),
         grad_f=lambda X: hyperbolic_grad(prob, X),
         fast_projector=projector,
+        value_and_grad=lambda X: hyperbolic_value_and_grad(prob, X),
     )
 
 
@@ -336,7 +385,9 @@ def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:
 
 @dataclass
 class CompressedModesProblem:
-    hamiltonian: np.ndarray     # (n, n) discretized -0.5 d^2/dx^2
+    """Free-electron Hamiltonian -0.5 d^2/dx^2 on [0, length], discretized
+    on n interior grid points with zero boundary values."""
+
     n: int
     p: int
     length: float
@@ -344,27 +395,43 @@ class CompressedModesProblem:
     s: int
     beta_default: float
 
+    def apply_hamiltonian(self, X: np.ndarray) -> np.ndarray:
+        """H X for H = (2I - S - S^T) / (2 h^2), S the shift down by one
+        grid point: a 3-point stencil at O(n p)."""
+        h = self.length / (self.n + 1)
+        out = 2.0 * X
+        out[1:] -= X[:-1]
+        out[:-1] -= X[1:]
+        return out / (2.0 * h * h)
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The dense (n, n) matrix H, built on demand."""
+        return self.apply_hamiltonian(np.eye(self.n))
+
 
 def gen_modes_problem(n: int, p: int, length: float, rho: float) -> CompressedModesProblem:
-    """Free-electron Hamiltonian on [0, length] with n interior grid
-    points; sparsity budget s = round(rho * n * p)."""
-    h = length / (n + 1)
-    A = (
-        np.diag(np.full(n, 2.0))
-        + np.diag(np.full(n - 1, -1.0), 1)
-        + np.diag(np.full(n - 1, -1.0), -1)
-    ) / (2.0 * h * h)
+    """Hamiltonian on [0, length] with n interior grid points; sparsity
+    budget s = round(rho * n * p)."""
     s = round(rho * n * p)
-    return CompressedModesProblem(A, n, p, length, rho, s, length**2 / (4.0 * n**2))
+    return CompressedModesProblem(n, p, length, rho, s, length**2 / (4.0 * n**2))
 
 
 def modes_objective(prob: CompressedModesProblem, X) -> float:
     X = as_dense(X)
-    return float(np.sum(X * (prob.hamiltonian @ X)))
+    return float(np.sum(X * prob.apply_hamiltonian(X)))
 
 
 def modes_grad(prob: CompressedModesProblem, X) -> np.ndarray:
-    return 2.0 * (prob.hamiltonian @ as_dense(X))
+    return 2.0 * prob.apply_hamiltonian(as_dense(X))
+
+
+def modes_value_and_grad(prob: CompressedModesProblem, X):
+    """Energy tr(X^T H X) and its gradient 2 H X from one application of
+    the stencil."""
+    X = as_dense(X)
+    HX = prob.apply_hamiltonian(X)
+    return float(np.sum(X * HX)), 2.0 * HX
 
 
 def sparsity_ratio(X) -> float:
@@ -388,4 +455,5 @@ def make_modes_problem(prob: CompressedModesProblem) -> Problem:
         f=lambda X: modes_objective(prob, X),
         grad_f=lambda X: modes_grad(prob, X),
         extra_metric=sparsity_ratio,
+        value_and_grad=lambda X: modes_value_and_grad(prob, X),
     )

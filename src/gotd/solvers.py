@@ -1,6 +1,6 @@
 """Shared numerical kernels: truncated SVD, a pseudo-inverse solve,
 preconditioned conjugate gradients on a matrix-free operator, and a
-symmetric Sylvester solve."""
+symmetric Sylvester solve factored once per matrix."""
 
 from typing import Callable, NamedTuple, Optional
 
@@ -106,21 +106,34 @@ def pcg(
     return PcgResult(best_x, max_iter, False)
 
 
-def sym_sylvester_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve G L + L G = B for symmetric L, with G symmetric positive definite.
+def sym_sylvester_solver(G: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of G L + L G = B for symmetric L, with G symmetric
+    positive definite, as a callable B -> L.
 
-    Diagonalizes G = Q D Q^T and divides elementwise by d_i + d_j.
+    Diagonalizes G = Q D Q^T once; each call divides elementwise by
+    d_i + d_j.
     """
     G = np.asarray(G, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if G.shape != B.shape or G.shape[0] != G.shape[1]:
-        raise IllConditioned("G and B must be square matrices of equal size")
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise IllConditioned("G must be a square matrix")
     d, Q = np.linalg.eigh(0.5 * (G + G.T))
     if d[0] <= COND_RTOL * d[-1] or d[-1] <= 0:
         raise IllConditioned(
             f"Gram eigenvalue ratio {d[0]:.3e} / {d[-1]:.3e} below {COND_RTOL:g}"
         )
-    Bt = Q.T @ (0.5 * (B + B.T)) @ Q
-    L = Bt / (d[:, None] + d[None, :])
-    L = Q @ L @ Q.T
-    return 0.5 * (L + L.T)
+    denom = d[:, None] + d[None, :]
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        B = np.asarray(B, dtype=float)
+        if B.shape != G.shape:
+            raise IllConditioned("G and B must be square matrices of equal size")
+        L = Q @ ((Q.T @ (0.5 * (B + B.T)) @ Q) / denom) @ Q.T
+        return 0.5 * (L + L.T)
+
+    return solve
+
+
+def sym_sylvester_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve G L + L G = B for symmetric L, with G symmetric positive
+    definite (see :func:`sym_sylvester_solver`)."""
+    return sym_sylvester_solver(G)(B)

@@ -16,6 +16,7 @@ from gotd import (
     ObliqueConstraint,
     Problem,
     SparsityManifold,
+    StiefelConstraint,
     apply_reduced_gram,
     build_workspace,
     hyperbolic_grad,
@@ -23,6 +24,7 @@ from gotd import (
     pcg,
     pinv_apply,
     reduced_gram_diag,
+    sparsity_ratio,
     sphere_grad,
     sphere_objective,
     sphere_test_error,
@@ -199,7 +201,8 @@ class DenseFixedRankManifold(FixedRankManifold):
 
 
 class DenseConstraint:
-    """A constraint that only ever sees dense ambient matrices."""
+    """A constraint that only ever sees dense ambient matrices, and whose
+    Gram solver calls ``gram_solve`` afresh for every right-hand side."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -216,6 +219,9 @@ class DenseConstraint:
 
     def gram_solve(self, X, b):
         return self.inner.gram_solve(X.dense(), b)
+
+    def gram_solver(self, X):
+        return lambda b: self.gram_solve(X, b)
 
 
 def dense_sphere_problem(data) -> Problem:
@@ -268,6 +274,19 @@ def dense_hyperbolic_problem(data, r) -> Problem:
         f=lambda X: hyperbolic_objective(data, X.dense()),
         grad_f=lambda X: hyperbolic_grad(data, X.dense()),
         fast_projector=dense_hyperboloid_projector(constraint.inner.j_diag),
+    )
+
+
+def dense_modes_problem(data) -> Problem:
+    """The modes problem with the dense n x n Hamiltonian, separate
+    objective and gradient, and Dh Dh* factored on every solve."""
+    H = data.hamiltonian
+    return Problem(
+        manifold=SparsityManifold(data.n, data.p, data.s),
+        constraint=DenseConstraint(StiefelConstraint(data.n, data.p)),
+        f=lambda X: float(np.sum(X.dense() * (H @ X.dense()))),
+        grad_f=lambda X: 2.0 * (H @ X.dense()),
+        extra_metric=sparsity_ratio,
     )
 
 

@@ -3,10 +3,12 @@ import pytest
 
 from gotd import (
     DegenerateProjection,
+    FixedRankManifold,
     HyperboloidConstraint,
     IllConditioned,
     ObliqueConstraint,
     ShapeMismatch,
+    SparsityManifold,
     StiefelConstraint,
     flatten_sym,
     unflatten_sym,
@@ -155,6 +157,25 @@ class TestGramSolve:
         lam = C.gram_solve(X, b)
         residual = C.dh(X, C.dh_adjoint(X, lam)) - b
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", ALL_TYPES)
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_gram_solver_inverts_dh_dh_adjoint(self, rng, kind, structured):
+        # the solver factored once at X inverts Dh Dh* there, call after
+        # call, and agrees with the one-shot gram_solve; structured points
+        # are full-rank factored points, or a sparse point for Stiefel
+        C, X = make_instance(kind, rng)
+        if structured and kind == "stiefel":
+            X = SparsityManifold(*X.shape, 14).project(X)
+        elif structured:
+            X = FixedRankManifold(*X.shape, min(X.shape)).project(X)
+        solve = C.gram_solver(X)
+        for _ in range(5):
+            lam = rng.standard_normal(C.q)
+            out = solve(C.dh(X, C.dh_adjoint(X, lam)))
+            assert np.linalg.norm(out - lam) <= 1e-10 * np.linalg.norm(lam)
+            b = rng.standard_normal(C.q)
+            assert np.array_equal(solve(b), C.gram_solve(X, b))
 
     def test_zero_row_rejected(self):
         C = ObliqueConstraint(2, 2)

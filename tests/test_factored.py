@@ -36,6 +36,7 @@ from gotd import (
     make_sphere_problem,
     sphere_grad,
 )
+from gotd import problems
 from gotd.problems import CooMatrix, SparsePattern
 from oracles import (
     DenseFixedRankManifold,
@@ -302,6 +303,10 @@ def _assert_traces_match(trace, ref):
             assert abs(x - y) <= 1e-10 * abs(y) + floor, (col, a.iteration, x, y)
 
 
+def _refuse_dense_gradient(prob, X):
+    raise AssertionError("the dense hyperbolic gradient on the hot path")
+
+
 class TestAgainstDenseRoute:
     def test_sphere_trace(self):
         data = gen_sphere_data(500, 600, 5, 6, 1)
@@ -341,7 +346,8 @@ class TestAgainstDenseRoute:
 
     def test_hyperbolic_run_builds_no_dense_matrix(self, monkeypatch):
         # a whole run to tolerance, objective and f/f0 column included,
-        # on the factors alone
+        # on the factors alone, and without the dense (n+1) x m gradient
+        monkeypatch.setattr(problems, "hyperbolic_grad", _refuse_dense_gradient)
         data = gen_hyperbolic_data(20, 60, 3, 4)
         problem = make_hyperbolic_problem(data, 3)
         x0 = init_hyperbolic(data, 3)
