@@ -219,8 +219,8 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  Any numerical
     failure (rank collapse, singular Gram, degenerate retraction,
-    non-finite values) aborts the run with the iterate index in the
-    reason string.
+    non-finite values, a failing extra metric) aborts the run with the
+    iterate index in the reason string.
     """
     point = x0
     trace: list = []
@@ -229,29 +229,24 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_val, feas, gh_vec, gf_vec = _evaluate(problem, point)
-        except (GotdError, np.linalg.LinAlgError) as exc:
-            return GotdResult(
-                point, trace, RunStatus.ABORTED, f"iteration {k}: {exc}"
-            )
-        gh = norm(gh_vec)
-        gf = norm(gf_vec)
-        if not np.isfinite([f_val, feas, gh, gf]).all() or feas > 1e12:
-            return GotdResult(
-                point, trace, RunStatus.ABORTED,
-                f"iteration {k}: diverged (non-finite or huge residual)",
-            )
-        done = max(gh, gf) <= config.tol or k == config.max_iter
-        if k % config.trace_every == 0 or done:
-            extra = problem.extra_metric(point) if problem.extra_metric else None
-            trace.append(
-                TraceRecord(
-                    k, time.perf_counter() - t_start, f_val, feas, gh, gf, extra
+            gh = norm(gh_vec)
+            gf = norm(gf_vec)
+            if not np.isfinite([f_val, feas, gh, gf]).all() or feas > 1e12:
+                return GotdResult(
+                    point, trace, RunStatus.ABORTED,
+                    f"iteration {k}: diverged (non-finite or huge residual)",
                 )
-            )
-        if done:
-            status = RunStatus.CONVERGED if max(gh, gf) <= config.tol else RunStatus.MAX_ITER
-            return GotdResult(point, trace, status)
-        try:
+            done = max(gh, gf) <= config.tol or k == config.max_iter
+            if k % config.trace_every == 0 or done:
+                extra = problem.extra_metric(point) if problem.extra_metric else None
+                trace.append(
+                    TraceRecord(
+                        k, time.perf_counter() - t_start, f_val, feas, gh, gf, extra
+                    )
+                )
+            if done:
+                status = RunStatus.CONVERGED if max(gh, gf) <= config.tol else RunStatus.MAX_ITER
+                return GotdResult(point, trace, status)
             point = problem.manifold.retract(
                 point, config.alpha * gh_vec + config.beta * gf_vec
             )

@@ -8,6 +8,9 @@ value/support pair for sparsity -- and ``dense()`` recovers the ambient
 matrix.  Fixed-rank tangent vectors stay factored as well
 (:class:`FixedRankTangent`), and so do low-rank ambient operands
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
+The fixed-rank retraction works on r x r Gram roots of the tangent
+factors and one 2r x 2r SVD, at O((m + n) r^2) with no QR of an m x r
+block.
 """
 
 import functools
@@ -284,6 +287,12 @@ def norm(v) -> float:
     return float(np.linalg.norm(v))
 
 
+def _gram_root(A: np.ndarray) -> np.ndarray:
+    """An r x r matrix R with R^T R = A^T A, also when A is rank-deficient."""
+    d, W = np.linalg.eigh(A.T @ A)
+    return np.sqrt(np.maximum(d, 0.0))[:, None] * W.T
+
+
 class FixedRankManifold:
     """Matrices of rank exactly r in R^{m x n}."""
 
@@ -316,9 +325,19 @@ class FixedRankManifold:
         A :class:`FixedRankTangent` at X goes straight into the core; its
         gauge conditions are checked to 1e-8 relative at O((m + n) r^2).
         Any other eta is decomposed densely and must be tangent at X to
-        1e-8 relative.  The SVD is computed on a 2r x 2r core; its singular
-        values are exactly those of X + eta, so the result agrees with the
-        dense definition.
+        1e-8 relative.  The core needs only the r x r Gram matrices of Up
+        and Vp, their square roots Ru and Rv, and one SVD of the 2r x 2r
+        matrix [[Sigma + M, Rv^T], [Ru, 0]], whose singular values are
+        exactly those of X + eta, so the result agrees with the dense
+        definition.  The top-r singular vectors [u1; u2], [v1; v2] and
+        values S of that matrix give the new factors directly,
+
+            U+ = U u1 + Up v1 S^-1,    V+ = V v1 + Vp u1 S^-1,
+
+        so no m x r block is orthogonalized: the whole step costs
+        O((m + n) r^2) with no QR.  Any roots serve, since the top-r
+        singular triplets do not depend on the choice, and the rank guard
+        on S keeps the division safe.
         """
         self._check(X, eta)
         U, s, V = X.u, X.sigma, X.v
@@ -344,31 +363,26 @@ class FixedRankManifold:
                 f"eta is not tangent: relative defect {defect / norm_eta:.3e}"
             )
 
-        Qu, Ru = np.linalg.qr(Up)
-        Qu = Qu - U @ (U.T @ Qu)  # reinforce against drift in qr
-        Qu, R2 = np.linalg.qr(Qu)
-        Ru = R2 @ Ru
-        Qv, Rv = np.linalg.qr(Vp)
-        Qv = Qv - V @ (V.T @ Qv)
-        Qv, R2 = np.linalg.qr(Qv)
-        Rv = R2 @ Rv
-
+        # X + eta = [U Up] [[Sigma + M, I], [I, 0]] [V Vp]^T
         K = np.zeros((2 * r, 2 * r))
         K[:r, :r] = np.diag(s) + M
-        K[:r, r:] = Rv.T
-        K[r:, :r] = Ru
+        K[:r, r:] = _gram_root(Vp).T
+        K[r:, :r] = _gram_root(Up)
         Uk, sk, Vkt = np.linalg.svd(K)
         if sk[r - 1] <= RANK_RTOL * sk[0]:
             raise RankDeficient(
                 f"retraction target has numerical rank below {r}"
             )
-        Un = np.hstack([U, Qu]) @ Uk[:, :r]
-        Vn = np.hstack([V, Qv]) @ Vkt[:r].T
+        # the lower block rows of K v = s u and K^T u = s v put the
+        # components along Up and Vp at Up v1 / s and Vp u1 / s
+        S, u1, v1 = sk[:r], Uk[:r, :r], Vkt[:r, :r].T
+        Un = U @ u1 + Up @ (v1 / S)
+        Vn = V @ v1 + Vp @ (u1 / S)
         # one Newton step toward the polar factor keeps the columns
         # orthonormal over long iterations without disturbing sigma
         Un = Un @ (1.5 * np.eye(r) - 0.5 * (Un.T @ Un))
         Vn = Vn @ (1.5 * np.eye(r) - 0.5 * (Vn.T @ Vn))
-        return FactoredPoint(Un, sk[:r].copy(), Vn)
+        return FactoredPoint(Un, S.copy(), Vn)
 
     def project(self, Y: np.ndarray) -> FactoredPoint:
         """Metric projection of an ambient matrix: truncated SVD."""

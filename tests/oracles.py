@@ -12,9 +12,11 @@ import numpy as np
 from gotd import (
     FactoredPoint,
     FixedRankManifold,
+    FixedRankTangent,
     HyperboloidConstraint,
     ObliqueConstraint,
     Problem,
+    RankDeficient,
     SparsityManifold,
     StiefelConstraint,
     apply_reduced_gram,
@@ -30,6 +32,7 @@ from gotd import (
     sphere_test_error,
 )
 from gotd.fastproj import PCG_MAX_ITER, PCG_TOL
+from gotd.solvers import RANK_RTOL
 
 
 def random_factored(rng, m, n, r, scale=1.0) -> FactoredPoint:
@@ -198,6 +201,42 @@ class DenseFixedRankManifold(FixedRankManifold):
         UtZ = U.T @ Z
         ZV = Z @ V
         return U @ UtZ + (ZV - U @ (UtZ @ V)) @ V.T
+
+
+def qr_retract(X: FactoredPoint, eta) -> FactoredPoint:
+    """Best rank-r approximation of X + eta by the QR route.
+
+    eta is a FixedRankTangent at X or a dense tangent array.  Householder
+    QRs of Up and Vp, each re-orthogonalized against the point's factors,
+    give orthonormal bases Qu, Qv and triangular Ru, Rv, and the factors
+    are [U Qu] and [V Qv] times the top-r singular vectors of the 2r x 2r
+    core [[Sigma + M, Rv^T], [Ru, 0]].
+    """
+    U, s, V = X.u, X.sigma, X.v
+    r = s.shape[0]
+    if isinstance(eta, FixedRankTangent):
+        M, Up, Vp = eta.M, eta.Up, eta.Vp
+    else:
+        M = U.T @ eta @ V
+        Up = eta @ V - U @ M
+        Vp = eta.T @ U - V @ M.T
+    Qu, Ru = np.linalg.qr(Up)
+    Qu = Qu - U @ (U.T @ Qu)
+    Qu, R2 = np.linalg.qr(Qu)
+    Ru = R2 @ Ru
+    Qv, Rv = np.linalg.qr(Vp)
+    Qv = Qv - V @ (V.T @ Qv)
+    Qv, R2 = np.linalg.qr(Qv)
+    Rv = R2 @ Rv
+    K = np.block([[np.diag(s) + M, Rv.T], [Ru, np.zeros((r, r))]])
+    Uk, sk, Vkt = np.linalg.svd(K)
+    if sk[r - 1] <= RANK_RTOL * sk[0]:
+        raise RankDeficient(f"retraction target has numerical rank below {r}")
+    Un = np.hstack([U, Qu]) @ Uk[:, :r]
+    Vn = np.hstack([V, Qv]) @ Vkt[:r].T
+    Un = Un @ (1.5 * np.eye(r) - 0.5 * (Un.T @ Un))
+    Vn = Vn @ (1.5 * np.eye(r) - 0.5 * (Vn.T @ Vn))
+    return FactoredPoint(Un, sk[:r].copy(), Vn)
 
 
 class DenseConstraint:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gotd import (
+    DomainViolation,
     FixedRankManifold,
     GotdConfig,
     HyperboloidConstraint,
@@ -345,6 +346,30 @@ class TestStepAndRun:
         assert res.status is RunStatus.ABORTED
         assert res.reason.startswith("iteration 0: eta is not tangent")
         assert len(res.trace) == 1
+
+    @pytest.mark.parametrize(
+        "exc", [DomainViolation("metric left its domain"), np.linalg.LinAlgError("singular")]
+    )
+    def test_run_aborts_when_extra_metric_fails(self, exc):
+        # a failing trace metric ends the run ABORTED at that iterate,
+        # with the records before it kept
+        data = gen_sphere_data(20, 18, 2, 1.5, 3)
+        prob = make_sphere_problem(data)
+        calls = []
+
+        def metric(X):
+            calls.append(X)
+            if len(calls) == 3:
+                raise exc
+            return 0.0
+
+        prob.extra_metric = metric
+        X0 = init_sphere(data, 3)
+        res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason == f"iteration 2: {exc}"
+        assert [rec.iteration for rec in res.trace] == [0, 1]
+        assert res.point is calls[-1]
 
     def test_small_recovery_run(self, rng):
         data = gen_sphere_data(40, 36, 2, 3.0, 7)
