@@ -3,9 +3,10 @@
 Synthetic points on the upper hyperboloid sheet carry a dominant
 rank-5 spatial structure plus a full-rank tail.  The run searches the
 rank-6 manifold for columns that stay close to the originals in the
-hyperbolic distance, using the factored fast projector for the
-optimality direction.  Alternating projections polish the result onto
-the exact intersection afterwards.
+hyperbolic distance; the optimality direction comes from the generic
+matrix-free projector that serves all three pairs, applied to the
+factors.  Alternating projections polish the result onto the exact
+intersection afterwards.
 """
 
 import numpy as np

@@ -5,8 +5,8 @@ The iterates stay on the inner manifold (fixed-rank matrices or a
 sparsity set); one tangential direction drives the constraint residual to
 zero through projected Gauss--Newton steps, and an orthogonal one
 decreases the objective inside the tangent space of the constraint's
-level set.  Includes a matrix-free fast projector for the hyperboloid /
-fixed-rank pair, alternating-projection feasibility, three benchmark
+level set.  One matrix-free projector onto that tangent space serves
+every pair.  Includes alternating-projection feasibility, three benchmark
 problems, and a CLI runner.
 """
 
@@ -48,14 +48,6 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .fastproj import (
-    HypLowRankWorkspace,
-    apply_reduced_gram,
-    build_workspace,
-    dense_reduced_gram,
-    project_hyperboloid_lowrank,
-    reduced_gram_diag,
-)
 from .feasibility import MapResult, alternating_projections
 from .manifolds import (
     FactoredPoint,
@@ -95,7 +87,6 @@ from .solvers import (
     PcgResult,
     pcg,
     pinv_apply,
-    sym_sylvester_solve,
     sym_sylvester_solver,
     truncated_svd,
 )

@@ -47,18 +47,15 @@ class Problem:
     already be projected onto the tangent space of M (the hyperbolic pair
     returns a :class:`~gotd.manifolds.FixedRankTangent`), because only
     that projection enters the step.  The projection onto S(X) is
-    :func:`tangent_intersection_project`, which needs only the contract
-    maps; a problem that knows a cheaper factored form sets
-    ``fast_projector`` to replace it (the hyperbolic pair).
-    ``extra_metric`` is evaluated on traced iterates (test error,
-    sparsity, cost ratio, ...).
+    :func:`tangent_intersection_project` for every pair; it needs only
+    the contract maps.  ``extra_metric`` is evaluated on traced iterates
+    (test error, sparsity, cost ratio, ...).
     """
 
     manifold: object
     constraint: object
     f: Callable[[object], float]
     grad_f: Callable[[object], object]
-    fast_projector: Optional[Callable[[object, object], object]] = None
     extra_metric: Optional[Callable[[object], float]] = None
     value_and_grad: Optional[Callable[[object], tuple]] = None
 
@@ -167,8 +164,8 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
 
 
 def optimality_direction(problem: Problem, point, grad=None, gram=None):
-    """Projection of -grad f onto S(X), through the fast projector when
-    the problem provides one.
+    """Projection of -grad f onto S(X) by
+    :func:`tangent_intersection_project`.
 
     ``grad`` is the gradient at the point when the caller has it already
     (it may be tangent-projected), and ``gram`` the constraint's Gram
@@ -176,11 +173,8 @@ def optimality_direction(problem: Problem, point, grad=None, gram=None):
     """
     if grad is None:
         grad = problem.grad_f(point)
-    xi = -grad
-    if problem.fast_projector is not None:
-        return problem.fast_projector(point, xi)
     return tangent_intersection_project(
-        problem.manifold, problem.constraint, point, xi, gram
+        problem.manifold, problem.constraint, point, -grad, gram
     )
 
 
@@ -346,6 +340,11 @@ def read_trace_csv(path):
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header}")
         for row in reader:
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(
+                    f"trace row {reader.line_num} has {len(row)} fields, "
+                    f"expected {len(TRACE_HEADER)}: {row}"
+                )
             out.append(
                 TraceRecord(
                     int(row[0]),

@@ -15,7 +15,6 @@ import numpy as np
 from .algorithm import Problem
 from .constraints import HyperboloidConstraint, ObliqueConstraint, StiefelConstraint
 from .errors import DomainViolation, InfeasibleSampling
-from .fastproj import build_workspace, project_hyperboloid_lowrank
 from .manifolds import (
     FactoredPoint,
     FixedRankManifold,
@@ -362,19 +361,11 @@ def init_hyperbolic(prob: HyperbolicFitProblem, r: int) -> FactoredPoint:
 
 
 def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:
-    manifold = FixedRankManifold(prob.n + 1, prob.m, r + 1)
-    constraint = HyperboloidConstraint(prob.n, prob.m)
-
-    def projector(point, xi):
-        ws = build_workspace(point, constraint.j_diag)
-        return project_hyperboloid_lowrank(point, ws, xi)
-
     return Problem(
-        manifold=manifold,
-        constraint=constraint,
+        manifold=FixedRankManifold(prob.n + 1, prob.m, r + 1),
+        constraint=HyperboloidConstraint(prob.n, prob.m),
         f=lambda X: hyperbolic_objective(prob, X),
         grad_f=lambda X: hyperbolic_grad(prob, X),
-        fast_projector=projector,
         value_and_grad=lambda X: hyperbolic_value_and_grad(prob, X),
     )
 

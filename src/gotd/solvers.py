@@ -132,8 +132,3 @@ def sym_sylvester_solver(G: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     return solve
 
-
-def sym_sylvester_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve G L + L G = B for symmetric L, with G symmetric positive
-    definite (see :func:`sym_sylvester_solver`)."""
-    return sym_sylvester_solver(G)(B)

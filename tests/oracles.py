@@ -5,8 +5,6 @@ null spaces, finite differences) and deliberately avoids the code paths
 under test.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from gotd import (
@@ -19,19 +17,14 @@ from gotd import (
     RankDeficient,
     SparsityManifold,
     StiefelConstraint,
-    apply_reduced_gram,
-    build_workspace,
     hyperbolic_grad,
     hyperbolic_objective,
-    pcg,
     pinv_apply,
-    reduced_gram_diag,
     sparsity_ratio,
     sphere_grad,
     sphere_objective,
     sphere_test_error,
 )
-from gotd.fastproj import PCG_MAX_ITER, PCG_TOL
 from gotd.solvers import RANK_RTOL
 
 
@@ -263,56 +256,36 @@ class DenseConstraint:
         return lambda b: self.gram_solve(X, b)
 
 
+def collapsed_projector(manifold, constraint, point, xi, gram=None):
+    """eta - Dh*(Dh Dh*)^{-1} Dh eta with eta = P_T(xi): the projection onto
+    S(X) for a pair whose Dh* lam is already tangent (the sphere pair).
+    Signature of ``gotd.algorithm.tangent_intersection_project``, which a
+    test monkeypatches with it."""
+    eta = manifold.tangent_project(point, xi)
+    lam = constraint.gram_solve(point, constraint.dh(point, eta))
+    return eta - constraint.dh_adjoint(point, lam)
+
+
 def dense_sphere_problem(data) -> Problem:
-    """The sphere problem on the dense route, with the collapsed projector
-    eta - Dh*(Dh Dh*)^{-1} Dh eta written on m x n arrays."""
-    manifold = DenseFixedRankManifold(data.m, data.n, data.r)
-    constraint = DenseConstraint(ObliqueConstraint(data.m, data.n))
-
-    def projector(point, xi):
-        eta = manifold.tangent_project(point, xi)
-        lam = constraint.gram_solve(point, constraint.dh(point, eta))
-        return eta - constraint.dh_adjoint(point, lam)
-
+    """The sphere problem on the dense route: m x n tangent vectors and
+    dense objective, gradient and constraint maps."""
     return Problem(
-        manifold=manifold,
-        constraint=constraint,
+        manifold=DenseFixedRankManifold(data.m, data.n, data.r),
+        constraint=DenseConstraint(ObliqueConstraint(data.m, data.n)),
         f=lambda X: sphere_objective(data, X.dense()),
         grad_f=lambda X: sphere_grad(data, X.dense()),
-        fast_projector=projector,
         extra_metric=lambda X: sphere_test_error(data, X.dense()),
     )
 
 
-def dense_hyperboloid_projector(j_diag):
-    """The factored reduced system of the hyperboloid projector, with a
-    dense tangent-projected eta and a dense correction."""
-
-    def project(point, xi):
-        ws = build_workspace(point, j_diag)
-        U, V = point.u, point.v
-        eta = DenseFixedRankManifold(*point.shape, point.rank).tangent_project(point, xi)
-        P, Q = ws.coeff_core @ V.T, ws.perp_factor @ V.T
-        JX = U @ P + Q
-        b = np.einsum("ij,ij->j", JX, eta)
-        diag = reduced_gram_diag(ws)
-        lam = pcg(
-            lambda w: apply_reduced_gram(ws, w), b,
-            precond=lambda v: v / diag, tol=PCG_TOL, max_iter=PCG_MAX_ITER,
-        ).x
-        return eta - U @ (P * lam[None, :]) - ((Q * lam[None, :]) @ V) @ V.T
-
-    return project
-
-
 def dense_hyperbolic_problem(data, r) -> Problem:
-    constraint = DenseConstraint(HyperboloidConstraint(data.n, data.m))
+    """The hyperbolic problem on the dense route, projected onto S(X) by
+    the generic conjugate gradients on the dense maps."""
     return Problem(
         manifold=DenseFixedRankManifold(data.n + 1, data.m, r + 1),
-        constraint=constraint,
+        constraint=DenseConstraint(HyperboloidConstraint(data.n, data.m)),
         f=lambda X: hyperbolic_objective(data, X.dense()),
         grad_f=lambda X: hyperbolic_grad(data, X.dense()),
-        fast_projector=dense_hyperboloid_projector(constraint.inner.j_diag),
     )
 
 
@@ -342,23 +315,14 @@ def reduced_gram_matrix(manifold, constraint, point):
     return 0.5 * (B + B.T)
 
 
-def loop_tangent_intersection_project(manifold, constraint, point, xi):
+def loop_tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     """Projection onto ker(Dh) within the tangent space through the
     pseudo-inverse of the assembled reduced Gram matrix:
-    P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi)."""
+    P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi).
+    Signature of ``gotd.algorithm.tangent_intersection_project``; ``gram``
+    is not used."""
     xi_bar = manifold.tangent_project(point, xi)
     B = reduced_gram_matrix(manifold, constraint, point)
     lam = pinv_apply(B, constraint.dh(point, xi_bar), rel_tol=1e-12)
     return xi_bar - manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
-
-def loop_projector_problem(problem) -> Problem:
-    """The same problem with its projection onto S(X) done by
-    :func:`loop_tangent_intersection_project`."""
-
-    def project(point, xi):
-        return loop_tangent_intersection_project(
-            problem.manifold, problem.constraint, point, xi
-        )
-
-    return replace(problem, fast_projector=project)

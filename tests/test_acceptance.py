@@ -19,9 +19,6 @@ from gotd import (
     SparsityManifold,
     StiefelConstraint,
     alternating_projections,
-    apply_reduced_gram,
-    build_workspace,
-    dense_reduced_gram,
     feasibility_direction,
     find_monotone_balance,
     gauss_newton_direction,
@@ -40,7 +37,6 @@ from gotd import (
     modes_grad,
     modes_objective,
     optimality_direction,
-    project_hyperboloid_lowrank,
     sphere_grad,
     sphere_objective,
     tangent_intersection_project,
@@ -52,6 +48,7 @@ from oracles import (
     feasible_hyperboloid_lowrank,
     intersection_basis,
     loglog_slope,
+    loop_tangent_intersection_project,
     project_onto_basis,
     random_factored,
     random_support_point,
@@ -149,30 +146,18 @@ def test_criterion_1_orthogonality():
             man, C = FixedRankManifold(m, n, r), ObliqueConstraint(m, n)
             X = random_factored(rng, m, n, r)
             G = rng.standard_normal((m, n))
-            fast = None
-            if kind == 1:
-                # the collapsed projector used by the sphere problem
-                def fast(point, xi, man=man, C=C):
-                    Xd = point.dense()
-                    eta = man.tangent_project(point, xi)
-                    return eta - C.dh_adjoint(Xd, C.gram_solve(Xd, C.dh(Xd, eta)))
         elif kind == 2:
             n, m, s = int(rng.integers(6, 13)), int(rng.integers(8, 17)), int(rng.integers(2, 5))
             man, C = FixedRankManifold(n + 1, m, s), HyperboloidConstraint(n, m)
             X = random_factored(rng, n + 1, m, s)
             G = rng.standard_normal((n + 1, m))
-
-            def fast(point, xi, C=C):
-                ws = build_workspace(point, C.j_diag)
-                return project_hyperboloid_lowrank(point, ws, xi)
         else:
             n, p = int(rng.integers(8, 15)), int(rng.integers(2, 5))
             s = round(0.6 * n * p)
             man, C = SparsityManifold(n, p, s), StiefelConstraint(n, p)
             X = random_support_point(rng, n, p, s)
             G = rng.standard_normal((n, p))
-            fast = None
-        problem = Problem(man, C, lambda Xd: 0.0, lambda Xd, G=G: G, fast_projector=fast)
+        problem = Problem(man, C, lambda Xd: 0.0, lambda Xd, G=G: G)
         gh = feasibility_direction(man, C, X)
         gf = optimality_direction(problem, X)
         denom = np.linalg.norm(gh) * np.linalg.norm(gf)
@@ -222,33 +207,27 @@ def test_criterion_2_projection_correctness():
             float(np.linalg.norm(out - man.tangent_project(X, out))),
         )
 
-    # factored fast path against the generic one, and its operator
-    # against dense assembly
-    worst_fast = 0.0
-    worst_apply = 0.0
+    # conjugate gradients against the pseudo-inverse of the assembled
+    # reduced Gram matrix at feasible hyperbolic points
+    worst_loop = 0.0
     for _ in range(20):
         n, m, s = 12, 15, 3
         X = feasible_hyperboloid_lowrank(rng, n, m, s)
         C = HyperboloidConstraint(n, m)
         man = FixedRankManifold(n + 1, m, s)
-        ws = build_workspace(X, C.j_diag)
         xi = rng.standard_normal((n + 1, m))
         xi /= np.linalg.norm(xi)
-        fast = project_hyperboloid_lowrank(X, ws, xi)
         generic = tangent_intersection_project(man, C, X, xi)
-        worst_fast = max(worst_fast, float(np.linalg.norm(fast - generic)))
-        A = dense_reduced_gram(ws)
-        w = rng.standard_normal(m)
-        gap = np.abs(apply_reduced_gram(ws, w) - A @ w).max()
-        worst_apply = max(worst_apply, float(gap / max(1.0, np.abs(A @ w).max())))
+        loop = loop_tangent_intersection_project(man, C, X, xi)
+        worst_loop = max(worst_loop, float(np.linalg.norm(generic - loop)))
+        rng.standard_normal(m)  # discarded; keeps the 20 points of earlier versions
     elapsed = time.perf_counter() - t0
     report(
         2,
-        worst_oracle <= 1e-8 and worst_member <= 1e-9 and worst_fast <= 1e-8
-        and worst_apply <= 1e-12 and elapsed < 60.0,
+        worst_oracle <= 1e-8 and worst_member <= 1e-9 and worst_loop <= 1e-8
+        and elapsed < 60.0,
         f"basis-oracle gap {worst_oracle:.3e}, membership {worst_member:.3e}, "
-        f"fast-vs-generic {worst_fast:.3e}, operator-vs-dense {worst_apply:.3e}, "
-        f"{elapsed:.1f}s",
+        f"cg-vs-pseudo-inverse {worst_loop:.3e}, {elapsed:.1f}s",
     )
 
 

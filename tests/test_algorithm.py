@@ -31,12 +31,13 @@ from gotd import (
     tangent_intersection_project,
     write_trace_csv,
 )
+from gotd import algorithm
 from gotd.algorithm import TraceRecord
 from oracles import (
+    feasible_hyperboloid_lowrank,
     feasible_oblique_lowrank,
     intersection_basis,
     loglog_slope,
-    loop_projector_problem,
     loop_tangent_intersection_project,
     project_onto_basis,
     random_factored,
@@ -123,53 +124,93 @@ class TestFeasibilityDirection:
         assert np.allclose(gh, np.where(X.support, d, 0.0))
 
 
+@pytest.fixture(params=["oblique", "hyperboloid"])
+def pair(request, rng):
+    """(manifold, constraint, point, bound) for a fixed-rank pair: a random
+    rank-2 point of 6 x 5 under unit rows, or a rank-3 point of 9 x 10
+    with its columns on the hyperboloid.  ``bound`` is the pair's bound
+    for the fixed-point, adjoint-image and membership checks."""
+    if request.param == "oblique":
+        X = random_factored(rng, 6, 5, 2)
+        return FixedRankManifold(6, 5, 2), ObliqueConstraint(6, 5), X, 1e-9
+    X = feasible_hyperboloid_lowrank(rng, 8, 10, 3)
+    return FixedRankManifold(9, 10, 3), HyperboloidConstraint(8, 10), X, 1e-8
+
+
+class FlippedAdjoint:
+    """A constraint whose Dh* has the wrong sign, so B = Dh P_T Dh* is
+    negative semidefinite."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def dh_adjoint(self, X, lam):
+        return self.inner.dh_adjoint(X, -lam)
+
+
 class TestTangentIntersectionProject:
-    def _oblique_setup(self, rng, m=6, n=5, r=2):
-        return (
-            FixedRankManifold(m, n, r),
-            ObliqueConstraint(m, n),
-            random_factored(rng, m, n, r),
-        )
-
-    def test_fixed_point(self, rng):
-        man, C, X = self._oblique_setup(rng)
-        out = tangent_intersection_project(man, C, X, rng.standard_normal((6, 5)))
+    def test_fixed_point(self, rng, pair):
+        man, C, X, bound = pair
+        out = tangent_intersection_project(man, C, X, rng.standard_normal(X.shape))
         again = tangent_intersection_project(man, C, X, out)
-        assert np.linalg.norm(again - out) <= 1e-9 * max(1.0, np.linalg.norm(out))
+        assert np.linalg.norm(again - out) <= bound * max(1.0, np.linalg.norm(out))
 
-    def test_adjoint_image_maps_to_zero(self, rng):
+    def test_normal_input_maps_to_zero(self, rng, pair):
+        man, C, X, _ = pair
+        W = rng.standard_normal(X.shape)
+        PU, PV = X.u @ X.u.T, X.v @ X.v.T
+        xi = (np.eye(X.shape[0]) - PU) @ W @ (np.eye(X.shape[1]) - PV)  # normal to M
+        assert np.abs(tangent_intersection_project(man, C, X, xi)).max() <= 1e-10
+
+    def test_adjoint_image_maps_to_zero(self, rng, pair):
         # Phi's image is the orthogonal complement of the intersection
         # inside the tangent space
-        man, C, X = self._oblique_setup(rng)
+        man, C, X, bound = pair
         lam = rng.standard_normal(C.q)
         xi = man.tangent_project(X, C.dh_adjoint(X.dense(), lam))
         out = tangent_intersection_project(man, C, X, xi)
-        assert np.abs(out).max() <= 1e-9 * max(1.0, np.abs(xi).max())
+        assert np.abs(out).max() <= bound * max(1.0, np.abs(xi).max())
 
-    def test_matches_basis_oracle(self, rng):
-        man, C, X = self._oblique_setup(rng)
+    def test_matches_basis_oracle(self, rng, pair):
+        man, C, X, _ = pair
         basis = intersection_basis(C, X.dense(), tangent_basis_fixed_rank(X))
         for _ in range(5):
-            xi = rng.standard_normal((6, 5))
+            xi = rng.standard_normal(X.shape)
             expected = project_onto_basis(basis, xi)
             out = tangent_intersection_project(man, C, X, xi)
             assert np.linalg.norm(out - expected) <= 1e-8 * max(1.0, np.linalg.norm(xi))
 
-    def test_membership(self, rng):
-        man, C, X = self._oblique_setup(rng)
-        xi = rng.standard_normal((6, 5))
+    def test_membership(self, rng, pair):
+        man, C, X, bound = pair
+        xi = rng.standard_normal(X.shape)
         xi /= np.linalg.norm(xi)
         out = tangent_intersection_project(man, C, X, xi)
-        assert np.linalg.norm(C.dh(X.dense(), out)) <= 1e-9
-        assert np.linalg.norm(out - man.tangent_project(X, out)) <= 1e-9
+        assert np.linalg.norm(C.dh(X.dense(), out)) <= bound
+        assert np.linalg.norm(out - man.tangent_project(X, out)) <= bound
 
-    def test_self_adjoint(self, rng):
-        man, C, X = self._oblique_setup(rng)
+    def test_self_adjoint(self, rng, pair):
+        man, C, X, _ = pair
         for _ in range(5):
-            xi, w = rng.standard_normal((2, 6, 5))
+            xi, w = rng.standard_normal((2, *X.shape))
             lhs = np.sum(tangent_intersection_project(man, C, X, xi) * w)
             rhs = np.sum(xi * tangent_intersection_project(man, C, X, w))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_unsolvable_reduced_system_raises(self, rng, pair):
+        # an adjoint of the wrong sign makes B negative definite, so CG
+        # stops at once; the run ends ABORTED with the solver's reason
+        man, C, X, _ = pair
+        flipped = FlippedAdjoint(C)
+        with pytest.raises(NotConverged, match="pcg stalled"):
+            tangent_intersection_project(man, flipped, X, rng.standard_normal(X.shape))
+        G = rng.standard_normal(X.shape)
+        prob = Problem(man, flipped, lambda Xd: 0.0, lambda Xd: G)
+        res = gotd_run(prob, X, GotdConfig(max_iter=3))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason.startswith("iteration 0: pcg stalled")
 
     def test_sparsity_stiefel_basis_oracle(self, rng):
         man = SparsityManifold(7, 3, 12)
@@ -203,13 +244,16 @@ class TestTangentIntersectionProject:
             loop = loop_tangent_intersection_project(man, C, X, xi)
             assert np.linalg.norm(out - loop) <= 1e-10 * scale
 
-    def test_modes_trace_matches_loop_route(self):
+    def test_modes_trace_matches_loop_route(self, monkeypatch):
         data = gen_modes_problem(128, 5, 50.0, 0.6)
         problem = make_modes_problem(data)
         x0 = init_modes(data, 0)
         config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=200, tol=0.0)
         pcg_run = gotd_run(problem, x0, config)
-        loop_run = gotd_run(loop_projector_problem(problem), x0, config)
+        monkeypatch.setattr(
+            algorithm, "tangent_intersection_project", loop_tangent_intersection_project
+        )
+        loop_run = gotd_run(problem, x0, config)
         assert pcg_run.status is loop_run.status is RunStatus.MAX_ITER
         assert len(pcg_run.trace) == len(loop_run.trace) == 201
         for a, b in zip(pcg_run.trace, loop_run.trace):
@@ -219,24 +263,6 @@ class TestTangentIntersectionProject:
                 assert abs(x - y) <= 1e-10 * abs(y)
             for x, y in ((a.feas_norm, b.feas_norm), (a.gh_norm, b.gh_norm)):
                 assert abs(x - y) <= 1e-9 * abs(y) + 1e-12
-
-    def test_unsolvable_reduced_system_raises(self, rng):
-        # an adjoint of the wrong sign makes B negative definite, so CG
-        # stops at once; the run ends ABORTED with the solver's reason
-        man, C, X = self._oblique_setup(rng)
-
-        class FlippedAdjoint(ObliqueConstraint):
-            def dh_adjoint(self, X, lam):
-                return super().dh_adjoint(X, -lam)
-
-        flipped = FlippedAdjoint(6, 5)
-        with pytest.raises(NotConverged, match="pcg stalled"):
-            tangent_intersection_project(man, flipped, X, rng.standard_normal((6, 5)))
-        G = rng.standard_normal((6, 5))
-        prob = Problem(man, flipped, lambda Xd: 0.0, lambda Xd: G)
-        res = gotd_run(prob, X, GotdConfig(max_iter=3))
-        assert res.status is RunStatus.ABORTED
-        assert res.reason.startswith("iteration 0: pcg stalled")
 
 
 class TestOptimalityDirection:
@@ -335,12 +361,15 @@ class TestStepAndRun:
         assert res.status is RunStatus.ABORTED
         assert "iteration" in res.reason
 
-    def test_run_aborts_on_non_tangent_step(self, rng):
+    def test_run_aborts_on_non_tangent_step(self, rng, monkeypatch):
         # a projector that skips the projection hands the retraction a
         # non-tangent step: the run ends ABORTED, not with a traceback
         data = gen_sphere_data(20, 18, 2, 1.5, 3)
         prob = make_sphere_problem(data)
-        prob.fast_projector = lambda point, xi: xi
+        monkeypatch.setattr(
+            algorithm, "tangent_intersection_project",
+            lambda manifold, constraint, point, xi, gram=None: xi,
+        )
         res = gotd_run(prob, init_sphere(data, 3),
                        GotdConfig(alpha=1.0, beta=1.0, max_iter=5, tol=0.0))
         assert res.status is RunStatus.ABORTED
@@ -439,3 +468,13 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv([], path)
         assert path.read_text().splitlines()[0] == "iter,time_s,f,feas_norm,gh_norm,gf_norm,extra"
+
+    def test_truncated_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "iter,time_s,f,feas_norm,gh_norm,gf_norm,extra\n"
+            "0,1.0,2.0,3.0,4.0,5.0,\n"
+            "1,1.0,2.0\n"
+        )
+        with pytest.raises(ValueError, match="trace row 3 has 3 fields"):
+            read_trace_csv(path)
