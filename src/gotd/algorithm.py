@@ -347,13 +347,25 @@ def read_trace_csv(path):
                 )
             out.append(
                 TraceRecord(
-                    int(row[0]),
-                    float(row[1]),
-                    float(row[2]),
-                    float(row[3]),
-                    float(row[4]),
-                    float(row[5]),
-                    None if row[6] == "" else float(row[6]),
+                    *(
+                        _parse_trace_field(name, text, reader.line_num)
+                        for name, text in zip(TRACE_HEADER, row)
+                    )
                 )
             )
     return out
+
+
+def _parse_trace_field(name: str, text: str, line_num: int):
+    """One field of a trace row: ``iter`` an int, ``extra`` a float or
+    empty, every other field a float."""
+    try:
+        if name == "iter":
+            return int(text)
+        if name == "extra" and text == "":
+            return None
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"trace row {line_num}: field {name!r} is not a number: {text!r}"
+        ) from None

@@ -34,30 +34,33 @@ SECULAR_MAX_ITER = 100
 
 @functools.cache
 def _sym_layout(p: int):
-    """Row and column indices of the upper triangle of a p x p matrix and
-    the weights of :func:`flatten_sym`, built once per p (read-only)."""
+    """Row-major flat indices of the upper triangle of a p x p matrix, row
+    by row, and of its mirror image below the diagonal, with the weights
+    of :func:`flatten_sym`; built once per p (read-only)."""
     iu, ju = np.triu_indices(p)
+    upper = iu * p + ju
+    lower = ju * p + iu
     w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    for a in (iu, ju, w):
+    for a in (upper, lower, w):
         a.flags.writeable = False
-    return iu, ju, w
+    return upper, lower, w
 
 
 def flatten_sym(S: np.ndarray) -> np.ndarray:
     """Isometric flattening of a symmetric matrix: upper triangle row by
     row, off-diagonal entries multiplied by sqrt(2)."""
-    iu, ju, w = _sym_layout(S.shape[0])
-    return S[iu, ju] * w
+    upper, _, w = _sym_layout(S.shape[0])
+    return S.take(upper) * w
 
 
 def unflatten_sym(lam: np.ndarray, p: int) -> np.ndarray:
     """Inverse of :func:`flatten_sym`."""
-    iu, ju, w = _sym_layout(p)
-    if lam.shape != iu.shape:
-        raise ShapeMismatch(f"expected a vector of length {iu.size}")
-    S = np.empty((p, p))
-    S[iu, ju] = S[ju, iu] = lam / w
-    return S
+    upper, lower, w = _sym_layout(p)
+    if lam.shape != w.shape:
+        raise ShapeMismatch(f"expected a vector of length {w.size}")
+    S = np.empty(p * p)
+    S[upper] = S[lower] = lam / w
+    return S.reshape(p, p)
 
 
 def _row_sq_norms(X) -> np.ndarray:
@@ -273,7 +276,9 @@ class StiefelConstraint:
 
     def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
         self._check(X)
-        return 2.0 * as_dense(X) @ unflatten_sym(lam, self.p)
+        # scaling the p x p multiplier instead of the n x p product gives
+        # the same bits, as doubling is exact
+        return as_dense(X) @ (2.0 * unflatten_sym(lam, self.p))
 
     def gram_solver(self, X):
         """Invert lam -> flatten_sym(2 (G L + L G)) with G = X^T X, whose

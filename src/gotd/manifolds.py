@@ -248,7 +248,15 @@ class LowRankMatrix:
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """Matrix with exactly s nonzeros, together with its support mask."""
+    """Matrix with exactly s nonzeros, together with its support mask.
+
+    The nonzeros of ``values`` are exactly the entries marked in
+    ``support``: a nonzero outside the support raises ShapeMismatch, a
+    zero inside it DegenerateStep (ShapeMismatch when both occur).  The
+    support size ``nnz`` and the float 0/1 ``mask`` that
+    :meth:`SparsityManifold.tangent_project` multiplies by are computed
+    once per point.
+    """
 
     values: np.ndarray
     support: np.ndarray  # boolean mask, same shape as values
@@ -256,9 +264,11 @@ class SupportPoint:
     def __post_init__(self):
         if self.values.shape != self.support.shape:
             raise ShapeMismatch("values and support shapes differ")
-        if np.any(self.values[~self.support] != 0.0):
-            raise ShapeMismatch("nonzero entry outside the support")
-        if np.any(self.values[self.support] == 0.0):
+        # one comparison validates; which check failed is worked out only
+        # on failure
+        if not np.array_equal(self.values != 0.0, self.support):
+            if np.any(self.values[~self.support] != 0.0):
+                raise ShapeMismatch("nonzero entry outside the support")
             raise DegenerateStep("zero entry inside the support")
 
     @property
@@ -269,6 +279,14 @@ class SupportPoint:
     def nnz(self) -> int:
         """Size of the support, counted once per point."""
         return int(self.support.sum())
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """The support as a read-only float 0/1 array, built once per
+        point."""
+        mask = self.support.astype(float)
+        mask.flags.writeable = False
+        return mask
 
     def dense(self) -> np.ndarray:
         return self.values
@@ -409,9 +427,11 @@ class SparsityManifold:
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
 
     def tangent_project(self, X: SupportPoint, Z: np.ndarray) -> np.ndarray:
-        """Zero the entries outside the support of X."""
+        """Zero the entries outside the support of X by multiplying Z with
+        the 0/1 mask of X.  A non-finite entry outside the support is
+        therefore not zeroed but propagates as NaN (inf * 0 = nan)."""
         self._check(X, Z)
-        return np.where(X.support, Z, 0.0)
+        return Z * X.mask
 
     def retract(self, X: SupportPoint, eta: np.ndarray) -> SupportPoint:
         """Keep the s largest-magnitude entries of X + eta.

@@ -2,6 +2,7 @@
 preconditioned conjugate gradients on a matrix-free operator, and a
 symmetric Sylvester solve factored once per matrix."""
 
+import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -72,17 +73,20 @@ def pcg(
 
     Stops when ||A x - b|| <= tol * ||b||.  On budget exhaustion the best
     iterate seen (smallest residual) is returned with converged=False.
+    ``A`` and ``precond`` must not modify their argument: no vector is
+    updated in place here, so none is copied.
     """
     b = np.asarray(b, dtype=float)
-    nb = float(np.linalg.norm(b))
+    # the 1-D np.linalg.norm, sqrt(r . r), bit for bit without its overhead
+    nb = math.sqrt(b @ b)
     x = np.zeros_like(b)
     if nb == 0.0:
         return PcgResult(x, 0, True)
-    r = b.copy()
-    z = precond(r.copy()) if precond is not None else r.copy()
-    p = z.copy()
+    r = b
+    z = precond(r) if precond is not None else r
+    p = z
     rz = float(r @ z)
-    best_x = x.copy()
+    best_x = x
     best_res = nb
     for it in range(1, max_iter + 1):
         Ap = A(p)
@@ -93,13 +97,13 @@ def pcg(
         step = rz / pAp
         x = x + step * p
         r = r - step * Ap
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(r @ r)
         if res < best_res:
             best_res = res
-            best_x = x.copy()
+            best_x = x
         if res <= tol * nb:
             return PcgResult(x, it, True)
-        z = precond(r.copy()) if precond is not None else r.copy()
+        z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

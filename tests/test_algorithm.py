@@ -400,6 +400,29 @@ class TestStepAndRun:
         assert [rec.iteration for rec in res.trace] == [0, 1]
         assert res.point is calls[-1]
 
+    def test_run_aborts_on_nan_gradient_outside_support(self):
+        # tangent_project multiplies by the 0/1 mask, so a NaN outside the
+        # support is not zeroed: it reaches CG, which stops with
+        # NotConverged, and the run ends ABORTED, not with a traceback
+        data = gen_modes_problem(64, 3, 50.0, 0.6)
+        prob = make_modes_problem(data)
+        clean = prob.value_and_grad
+        calls = []
+
+        def value_and_grad(X):
+            calls.append(X)
+            f_val, grad = clean(X)
+            if len(calls) == 3:
+                grad.flat[np.flatnonzero(~X.support)[0]] = np.nan
+            return f_val, grad
+
+        prob.value_and_grad = value_and_grad
+        res = gotd_run(prob, init_modes(data, 0),
+                       GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=10, tol=0.0))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason.startswith("iteration 2: pcg stalled")
+        assert [rec.iteration for rec in res.trace] == [0, 1]
+
     def test_small_recovery_run(self, rng):
         data = gen_sphere_data(40, 36, 2, 3.0, 7)
         prob = make_sphere_problem(data)
@@ -477,4 +500,13 @@ class TestTraceCsv:
             "1,1.0,2.0\n"
         )
         with pytest.raises(ValueError, match="trace row 3 has 3 fields"):
+            read_trace_csv(path)
+
+    def test_non_numeric_field(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "iter,time_s,f,feas_norm,gh_norm,gf_norm,extra\n"
+            "0,1.0,abc,3.0,4.0,5.0,\n"
+        )
+        with pytest.raises(ValueError, match="trace row 2: field 'f' is not a number: 'abc'"):
             read_trace_csv(path)

@@ -51,6 +51,24 @@ class TestFlattening:
         A, B = A + A.T, B + B.T
         assert np.isclose(flatten_sym(A) @ flatten_sym(B), np.sum(A * B))
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_fancy_indexing_and_round_trips(self, rng, p):
+        iu, ju = np.triu_indices(p)
+        w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+        A = rng.standard_normal((p, p))
+        # the upper triangle is read, also from a non-contiguous view
+        for S in (A, A.T):
+            assert np.array_equal(flatten_sym(S), S[iu, ju] * w)
+        lam = rng.standard_normal(iu.size)
+        S = np.empty((p, p))
+        S[iu, ju] = S[ju, iu] = lam / w
+        assert np.array_equal(unflatten_sym(lam, p), S)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(flatten_sym(S) - lam)) <= 4 * eps * np.max(np.abs(lam))
+        assert np.max(np.abs(unflatten_sym(flatten_sym(A + A.T), p) - (A + A.T))) <= (
+            4 * eps * np.max(np.abs(A + A.T))
+        )
+
 
 class TestValues:
     def test_oblique_example(self):

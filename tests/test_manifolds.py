@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gotd import (
     DegenerateStep,
@@ -160,7 +161,44 @@ class TestFixedRankProject:
             assert best <= np.linalg.norm(Y - C) + 1e-12
 
 
+class TestSupportPoint:
+    def test_nonzero_outside_support(self):
+        with pytest.raises(ShapeMismatch, match="outside the support"):
+            SupportPoint(np.array([[1.0, 2.0]]), np.array([[True, False]]))
+
+    def test_zero_inside_support(self):
+        with pytest.raises(DegenerateStep, match="inside the support"):
+            SupportPoint(np.array([[1.0, 0.0]]), np.array([[True, True]]))
+
+    def test_both_faults_raise_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="outside the support"):
+            SupportPoint(np.array([[0.0, 2.0]]), np.array([[True, False]]))
+
+    def test_shapes_differ(self):
+        with pytest.raises(ShapeMismatch, match="shapes differ"):
+            SupportPoint(np.array([[1.0, 0.0]]), np.array([True, False]))
+
+    def test_mask_is_read_only_support(self, rng):
+        X = random_support_point(rng, 5, 4, 6)
+        assert np.array_equal(X.mask, X.support.astype(float))
+        assert X.mask is X.mask
+        with pytest.raises(ValueError):
+            X.mask[0, 0] = 2.0
+
+
 class TestSparsity:
+    @given(st.data())
+    def test_tangent_project_matches_where(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        support = np.array(
+            data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+        ).reshape(m, n)
+        assume(support.any())
+        X = SupportPoint(np.where(support, 1.5, 0.0), support)
+        Z = data.draw(arrays(float, (m, n), elements=st.floats(allow_nan=False, allow_infinity=False)))
+        out = SparsityManifold(m, n, int(support.sum())).tangent_project(X, Z)
+        assert np.array_equal(out, np.where(support, Z, 0.0))
+
     def test_tangent_project_masks(self, rng):
         man = SparsityManifold(3, 1, 1)
         X = SupportPoint(np.array([[3.0], [0.0], [0.0]]),

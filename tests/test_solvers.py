@@ -119,6 +119,22 @@ class TestPcg:
         assert precond.converged
         assert precond.iters <= plain.iters
 
+    @pytest.mark.parametrize("max_iter", [3, 50])
+    def test_identity_preconditioner_matches_none(self, rng, max_iter):
+        # a preconditioner returning its own argument aliases the residual,
+        # which pcg never updates in place; bit for bit the unpreconditioned
+        # run, converged or not, and the right-hand side stays untouched
+        M = rng.standard_normal((12, 12))
+        A = M @ M.T + 0.1 * np.eye(12)
+        b = rng.standard_normal(12)
+        b0 = b.copy()
+        plain = pcg(lambda v: A @ v, b, tol=1e-13, max_iter=max_iter)
+        same = pcg(lambda v: A @ v, b, precond=lambda r: r, tol=1e-13, max_iter=max_iter)
+        assert (plain.iters, plain.converged) == (same.iters, same.converged)
+        assert plain.converged is (max_iter == 50)
+        assert np.array_equal(plain.x, same.x)
+        assert np.array_equal(b, b0)
+
     def test_non_convergence_flag(self, rng):
         d = np.logspace(0, 8, 40)
         A = np.diag(d)
