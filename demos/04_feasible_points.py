@@ -1,9 +1,9 @@
 """Find a point in the intersection of two constraint sets from scratch.
 
-Alternating projections between the hyperboloid sheet (columnwise
-secular projection) and the fixed-rank manifold (truncated SVD) converge
-linearly once the iterate enters the neighborhood where the two sets
-meet transversally.
+Alternating projections between the hyperboloid sheet (one secular
+Newton iteration over all columns at once) and the fixed-rank manifold
+(truncated SVD) converge linearly once the iterate enters the
+neighborhood where the two sets meet transversally.
 """
 
 import numpy as np

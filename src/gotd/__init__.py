@@ -13,7 +13,6 @@ problems, and a CLI runner.
 from .algorithm import (
     GotdConfig,
     GotdResult,
-    LyapunovMonitor,
     Problem,
     RunStatus,
     TraceRecord,

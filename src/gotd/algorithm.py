@@ -15,7 +15,7 @@ other.
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -251,60 +251,38 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     raise AssertionError("unreachable")
 
 
-def lyapunov_value(f_val: float, feas_norm: float, lam: float, c_h: float = 1.0) -> float:
-    """Balance of objective and feasibility: f + lam * (||h|| / c_h)."""
-    return f_val + lam * (feas_norm / c_h)
+# balance factors 2**0, ..., 2**LYAPUNOV_MAX_POWER are tried
+LYAPUNOV_MAX_POWER = 10
 
 
-@dataclass
-class LyapunovMonitor:
-    """Tracks f + lam * ||h|| / c_h along a run."""
-
-    lam: float
-    c_h: float = 1.0
-    values: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("balance factor must be positive")
-
-    def update(self, f_val: float, feas_norm: float) -> float:
-        v = lyapunov_value(f_val, feas_norm, self.lam, self.c_h)
-        self.values.append(v)
-        return v
-
-    def is_monotone(self, after: int = 5, slack: float = 1.01,
-                    noise_floor: float = 0.0) -> bool:
-        """Non-increase up to a multiplicative slack.
-
-        ``noise_floor`` adds an absolute allowance of noise_floor *
-        max(values): once the sequence has decayed that far below its
-        peak, consecutive differences are rounding residue and cannot
-        certify anything.
-        """
-        v = self.values[after:]
-        absolute = noise_floor * max(self.values, default=0.0)
-        return all(b <= slack * a + absolute for a, b in zip(v, v[1:]))
+def lyapunov_value(f_val: float, feas_norm: float, lam: float) -> float:
+    """Balance of objective and feasibility: f + lam * ||h||."""
+    return f_val + lam * feas_norm
 
 
 def find_monotone_balance(
     f_vals,
     feas_norms,
-    max_power: int = 10,
-    c_h: float = 1.0,
     after: int = 5,
     slack: float = 1.01,
     noise_floor: float = 0.0,
 ) -> Optional[float]:
-    """Smallest power-of-two balance factor making the Lyapunov sequence
-    non-increasing (up to ``slack``) after the warm-up iterations, or
-    None if no power up to 2**max_power works."""
-    for p in range(max_power + 1):
-        mon = LyapunovMonitor(2.0**p, c_h)
-        for f_val, feas in zip(f_vals, feas_norms):
-            mon.update(f_val, feas)
-        if mon.is_monotone(after=after, slack=slack, noise_floor=noise_floor):
-            return 2.0**p
+    """Smallest power-of-two balance factor lam for which the Lyapunov
+    values f + lam * ||h|| do not increase after the first ``after``
+    iterates, up to the multiplicative ``slack``; None if no power up to
+    2**LYAPUNOV_MAX_POWER works.
+
+    ``noise_floor`` adds an absolute allowance of noise_floor * max(values):
+    once the sequence has decayed that far below its peak, consecutive
+    differences are rounding residue and cannot certify anything.
+    """
+    for p in range(LYAPUNOV_MAX_POWER + 1):
+        lam = 2.0**p
+        values = [lyapunov_value(f, h, lam) for f, h in zip(f_vals, feas_norms)]
+        absolute = noise_floor * max(values, default=0.0)
+        tail = values[after:]
+        if all(b <= slack * a + absolute for a, b in zip(tail, tail[1:])):
+            return lam
     return None
 
 

@@ -30,6 +30,9 @@ from .solvers import COND_RTOL, sym_sylvester_solver
 
 SECULAR_TOL = 1e-12
 SECULAR_MAX_ITER = 100
+# a secular bracket this narrow has closed to rounding: for |mu| >= 1/2 its
+# ends are adjacent doubles
+BRACKET_WIDTH = 0.5 * np.finfo(float).eps
 
 
 @functools.cache
@@ -195,57 +198,64 @@ class HyperboloidConstraint:
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Columnwise closest point on {x^T J x = -1, x_1 > 0}.
 
-        The stationarity condition x = (I + mu J)^{-1} y reduces to a
-        scalar secular equation solved by safeguarded Newton on the
-        interval (-1, 1) where I + mu J is positive definite.
+        Column j is x_j = [|y_0j| / (1 - mu_j); y_1:,j / (1 + mu_j)], where
+        mu_j is the root in (-1, 1), on which I + mu J is positive
+        definite, of the decreasing secular function
+
+            phi(mu) = -(|y_0j| / (1 - mu))^2 + ||y_1:,j||^2 / (1 + mu)^2 + 1.
+
+        One safeguarded Newton iteration runs on all columns at once.  A
+        column is frozen once |phi| <= SECULAR_TOL, or once its bracket has
+        closed to rounding: phi's rounding floor grows like eps ||y_j||^2,
+        so columns with entries of 10 and more mostly end that way.
+        Raises DegenerateProjection for a zero first coordinate, for a
+        near-axis column with |y_0| >= 2 (no unique nearest point) and for
+        a column left off the sheet, where |y_0| is so small that 1 - mu
+        has lost its digits.
         """
         self._check(Y)
-        out = np.empty_like(Y)
-        for j in range(self.m):
-            out[:, j] = self._project_column(Y[:, j])
-        return out
-
-    def _project_column(self, y: np.ndarray) -> np.ndarray:
-        y1 = abs(float(y[0]))
-        c2 = float(y[1:] @ y[1:])
-        if y1 == 0.0:
+        y0 = np.abs(Y[0])
+        c2 = np.einsum("ij,ij->j", Y[1:], Y[1:])
+        if np.any(y0 == 0.0):
             raise DegenerateProjection(
                 "column with zero first coordinate has no stationary "
                 "projection in the admissible interval"
             )
 
         def phi(mu):
-            return -((y1 / (1.0 - mu)) ** 2) + c2 / (1.0 + mu) ** 2 + 1.0
+            return -((y0 / (1.0 - mu)) ** 2) + c2 / (1.0 + mu) ** 2 + 1.0
 
-        def dphi(mu):
-            return -2.0 * y1**2 / (1.0 - mu) ** 3 - 2.0 * c2 / (1.0 + mu) ** 3
-
-        lo, hi = -1.0 + 1e-13, 1.0 - 1e-13
-        if phi(lo) <= 0.0:
-            # only reachable for near-axis columns with |y1| >= 2, where
+        lo = np.full(self.m, -1.0 + 1e-13)
+        hi = np.full(self.m, 1.0 - 1e-13)
+        if np.any(phi(lo) <= 0.0):
+            # only reachable for near-axis columns with |y_0| >= 2, where
             # the projection onto the sheet is non-unique
             raise DegenerateProjection(
                 "no secular root in the interval where I + mu J is "
                 "positive definite"
             )
-        mu = 0.0
+        mu = np.zeros(self.m)
+        active = np.ones(self.m, dtype=bool)
         for _ in range(SECULAR_MAX_ITER):
             f = phi(mu)
-            if abs(f) <= SECULAR_TOL:
+            above = f > 0.0
+            lo = np.where(above, mu, lo)
+            hi = np.where(above, hi, mu)
+            active &= (np.abs(f) > SECULAR_TOL) & (hi - lo > BRACKET_WIDTH)
+            if not active.any():
                 break
-            if f > 0.0:
-                lo = mu
-            else:
-                hi = mu
-            mu_new = mu - f / dphi(mu)
-            if not lo < mu_new < hi:
-                mu_new = 0.5 * (lo + hi)
-            mu = mu_new
-        else:
+            dphi = -2.0 * y0**2 / (1.0 - mu) ** 3 - 2.0 * c2 / (1.0 + mu) ** 3
+            step = mu - f / dphi
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            mu = np.where(active, step, mu)
+        x = Y / (1.0 + mu)
+        x[0] = y0 / (1.0 - mu)
+        # a column frozen by its bracket must still sit at phi's rounding
+        # floor, far below SECULAR_TOL * ||x||^2
+        if active.any() or np.any(
+            np.abs(f) > SECULAR_TOL * (1.0 + np.einsum("ij,ij->j", x, x))
+        ):
             raise DegenerateProjection("secular iteration did not converge")
-        x = np.empty_like(y)
-        x[0] = y1 / (1.0 - mu)
-        x[1:] = y[1:] / (1.0 + mu)
         return x
 
 

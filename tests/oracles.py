@@ -70,6 +70,31 @@ def feasible_hyperboloid_lowrank(rng, n, m, s) -> FactoredPoint:
     return FixedRankManifold(n + 1, m, s).project(X)
 
 
+def quartic_hyperboloid_project(Y: np.ndarray) -> np.ndarray:
+    """Columnwise closest point on the upper hyperboloid sheet from the
+    quartic polynomial of the secular equation.
+
+    Multiplying phi(mu) = -(y0 / (1 - mu))^2 + c2 / (1 + mu)^2 + 1 by
+    (1 - mu^2)^2 gives
+
+        (1 - mu^2)^2 + c2 (1 - mu)^2 - y0^2 (1 + mu)^2 = 0,
+
+    whose one root in (-1, 1) is taken from ``np.roots`` (the eigenvalues
+    of its companion matrix); then x = [y0 / (1 - mu); y_1: / (1 + mu)]
+    with y0 = |y_0| and c2 = ||y_1:||^2.
+    """
+    out = np.empty_like(Y, dtype=float)
+    for j in range(Y.shape[1]):
+        y0 = abs(Y[0, j])
+        c2 = Y[1:, j] @ Y[1:, j]
+        roots = np.roots([1.0, 0.0, c2 - y0**2 - 2.0, -2.0 * (c2 + y0**2), 1.0 + c2 - y0**2])
+        real = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
+        (mu,) = real[(real > -1.0) & (real < 1.0)]
+        out[0, j] = y0 / (1.0 - mu)
+        out[1:, j] = Y[1:, j] / (1.0 + mu)
+    return out
+
+
 def tangent_basis_fixed_rank(X: FactoredPoint):
     """Orthonormal ambient basis of the fixed-rank tangent space.
 

@@ -309,7 +309,6 @@ def test_criterion_6_lyapunov(sphere_tuned):
     lam = find_monotone_balance(
         [rec.f_value for rec in trace],
         [rec.feas_norm for rec in trace],
-        max_power=10,
         after=5,
         slack=1.01,
         noise_floor=1e-13,

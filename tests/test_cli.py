@@ -171,6 +171,16 @@ class TestRuns:
         records = read_trace_csv(out)
         assert records[0].extra_metric == pytest.approx(1.0)
 
+    def test_hyperbolic_extra_is_objective_ratio(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        code = main(["hyperbolic", *_flags(REQUIRED["hyperbolic"]),
+                     "--max-iter", "20", "--tol", "0", "--out", str(out)])
+        assert code == 2
+        records = read_trace_csv(out)
+        assert len(records) == 21
+        f0 = records[0].f_value
+        assert all(rec.extra_metric == rec.f_value / f0 for rec in records)
+
     def test_modes_smoke(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(

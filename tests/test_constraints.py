@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gotd import (
     DegenerateProjection,
@@ -13,12 +15,21 @@ from gotd import (
     flatten_sym,
     unflatten_sym,
 )
-from oracles import fd_dh_check
+from oracles import fd_dh_check, quartic_hyperboloid_project
 
 
 def lift_columns(spatial):
     top = np.sqrt(1.0 + np.einsum("ij,ij->j", spatial, spatial))
     return np.vstack([top, spatial])
+
+
+def assert_nearest_on_sampled_sheet(y, x, rng, trials=1000):
+    """No random feasible point near x on the upper sheet is closer to y."""
+    d0 = np.linalg.norm(y - x)
+    for _ in range(trials):
+        z = x[1:] + 0.05 * rng.standard_normal(x.size - 1)
+        cand = np.concatenate([[np.sqrt(1.0 + z @ z)], z])
+        assert d0 <= np.linalg.norm(y - cand) + 1e-12
 
 
 ALL_TYPES = ["oblique", "hyperboloid", "stiefel"]
@@ -259,12 +270,46 @@ class TestProjections:
         y = rng.standard_normal(4)
         y[0] = abs(y[0]) + 0.2
         x = C.project(y.reshape(-1, 1))[:, 0]
-        d0 = np.linalg.norm(y - x)
-        for _ in range(1000):
-            # random nearby feasible competitor
-            z = x[1:] + 0.05 * rng.standard_normal(3)
-            cand = np.concatenate([[np.sqrt(1.0 + z @ z)], z])
-            assert d0 <= np.linalg.norm(y - cand) + 1e-12
+        assert_nearest_on_sampled_sheet(y, x, rng)
+
+    @pytest.mark.parametrize("scale", [30.0, 100.0])
+    def test_hyperboloid_large_columns(self, rng, scale):
+        # phi's rounding floor, about eps ||y||^2, lies above SECULAR_TOL
+        # here, so most columns end on a bracket closed to rounding
+        C = HyperboloidConstraint(10, 300)
+        Y = scale * rng.standard_normal((11, 300))
+        Y[0] = np.abs(Y[0]) + 0.5
+        X = C.project(Y)
+        assert np.all(np.abs(C.value(X)) <= 1e-9 * np.einsum("ij,ij->j", X, X))
+        assert np.all(X[0] > 0)
+        for j in range(0, 300, 60):
+            assert_nearest_on_sampled_sheet(Y[:, j], X[:, j], rng)
+
+    def test_hyperboloid_tiny_first_coordinate_rejected(self):
+        # the root sits about 1e-9 below mu = 1, where 1 - mu keeps too few
+        # digits for y_0 / (1 - mu) to put the column on the sheet
+        C = HyperboloidConstraint(2, 2)
+        Y = np.array([[1e-3, 1e-9], [0.6, 0.6], [0.3, 0.3]])
+        with pytest.raises(DegenerateProjection, match="did not converge"):
+            C.project(Y)
+        x = C.project(Y[:, :1].repeat(2, axis=1))
+        assert np.abs(C.value(x)).max() <= 1e-12
+
+    @given(
+        n=st.integers(1, 40),
+        log_scale=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hyperboloid_matches_quartic_reference(self, n, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        Y = scale * rng.standard_normal((n + 1, 8))
+        Y[0] = np.sign(Y[0]) * (np.abs(Y[0]) + 0.5 * scale)
+        X = HyperboloidConstraint(n, 8).project(Y)
+        R = quartic_hyperboloid_project(Y)
+        assert np.all(
+            np.linalg.norm(X - R, axis=0) <= 1e-9 * np.linalg.norm(R, axis=0)
+        )
 
     def test_hyperboloid_negative_first_coordinate(self, rng):
         C = HyperboloidConstraint(2, 1)
