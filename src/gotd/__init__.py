@@ -27,13 +27,7 @@ from .algorithm import (
     tangent_intersection_project,
     write_trace_csv,
 )
-from .constraints import (
-    HyperboloidConstraint,
-    ObliqueConstraint,
-    StiefelConstraint,
-    flatten_sym,
-    unflatten_sym,
-)
+from .constraints import HyperboloidConstraint, ObliqueConstraint, StiefelConstraint
 from .errors import (
     DegenerateProjection,
     DegenerateStep,
@@ -82,12 +76,6 @@ from .problems import (
     sphere_test_error,
     sphere_value_and_grad,
 )
-from .solvers import (
-    PcgResult,
-    pcg,
-    pinv_apply,
-    sym_sylvester_solver,
-    truncated_svd,
-)
+from .solvers import pcg, truncated_svd
 
 __version__ = "0.1.0"

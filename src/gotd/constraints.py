@@ -10,17 +10,16 @@ point and returned as a callable), ``gram_solve`` (one such solve) and
   under the Lorentz signature diag(-1, 1, ..., 1),
 * ``StiefelConstraint``   -- orthonormal columns, X^T X = I.
 
-Constraint values live in R^q.  For the Stiefel map the symmetric matrix
-X^T X - I is flattened isometrically (off-diagonal entries scaled by
-sqrt(2)) so that the Euclidean adjoint identities hold verbatim.
+The oblique and hyperboloid values and multipliers are vectors in R^q;
+the Stiefel value X^T X - I and its multipliers are p x p matrices, and
+the adjoint identities hold under the Frobenius inner product.  Either way
+q is the dimension of the multiplier space.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
 work on the factors of a fixed-rank point, at O((m + n) r^2) for a
 factored direction; the Stiefel map acts on the ambient matrix.
 """
-
-import functools
 
 import numpy as np
 
@@ -33,37 +32,6 @@ SECULAR_MAX_ITER = 100
 # a secular bracket this narrow has closed to rounding: for |mu| >= 1/2 its
 # ends are adjacent doubles
 BRACKET_WIDTH = 0.5 * np.finfo(float).eps
-
-
-@functools.cache
-def _sym_layout(p: int):
-    """Row-major flat indices of the upper triangle of a p x p matrix, row
-    by row, and of its mirror image below the diagonal, with the weights
-    of :func:`flatten_sym`; built once per p (read-only)."""
-    iu, ju = np.triu_indices(p)
-    upper = iu * p + ju
-    lower = ju * p + iu
-    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    for a in (upper, lower, w):
-        a.flags.writeable = False
-    return upper, lower, w
-
-
-def flatten_sym(S: np.ndarray) -> np.ndarray:
-    """Isometric flattening of a symmetric matrix: upper triangle row by
-    row, off-diagonal entries multiplied by sqrt(2)."""
-    upper, _, w = _sym_layout(S.shape[0])
-    return S.take(upper) * w
-
-
-def unflatten_sym(lam: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of :func:`flatten_sym`."""
-    upper, lower, w = _sym_layout(p)
-    if lam.shape != w.shape:
-        raise ShapeMismatch(f"expected a vector of length {w.size}")
-    S = np.empty(p * p)
-    S[upper] = S[lower] = lam / w
-    return S.reshape(p, p)
 
 
 def _row_sq_norms(X) -> np.ndarray:
@@ -208,10 +176,12 @@ class HyperboloidConstraint:
         column is frozen once |phi| <= SECULAR_TOL, or once its bracket has
         closed to rounding: phi's rounding floor grows like eps ||y_j||^2,
         so columns with entries of 10 and more mostly end that way.
-        Raises DegenerateProjection for a zero first coordinate, for a
-        near-axis column with |y_0| >= 2 (no unique nearest point) and for
-        a column left off the sheet, where |y_0| is so small that 1 - mu
-        has lost its digits.
+        Where mu_j > 0, x_0j is taken from the sheet equation,
+        sqrt(1 + ||x_1:,j||^2), because 1 - mu_j loses its digits as |y_0j|
+        shrinks against ||y_j||.  Raises DegenerateProjection for a zero
+        first coordinate, for a near-axis column with |y_0| >= 2 (no unique
+        nearest point) and for a root unconverged after SECULAR_MAX_ITER
+        steps.
         """
         self._check(Y)
         y0 = np.abs(Y[0])
@@ -248,20 +218,20 @@ class HyperboloidConstraint:
             step = mu - f / dphi
             step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
             mu = np.where(active, step, mu)
-        x = Y / (1.0 + mu)
-        x[0] = y0 / (1.0 - mu)
-        # a column frozen by its bracket must still sit at phi's rounding
-        # floor, far below SECULAR_TOL * ||x||^2
-        if active.any() or np.any(
-            np.abs(f) > SECULAR_TOL * (1.0 + np.einsum("ij,ij->j", x, x))
-        ):
+        if active.any():
             raise DegenerateProjection("secular iteration did not converge")
+        x = Y / (1.0 + mu)
+        # for mu > 0, 1 - mu may have lost its digits; the sheet equation
+        # gives x_0 from the well-conditioned x_1: instead
+        x[0] = np.where(
+            mu > 0.0, np.sqrt(1.0 + np.einsum("ij,ij->j", x[1:], x[1:])), y0 / (1.0 - mu)
+        )
         return x
 
 
 class StiefelConstraint:
-    """h(X) = flatten_sym(X^T X - I_p) on R^{n x p}; zero set = orthonormal
-    columns.  q = p (p + 1) / 2."""
+    """h(X) = X^T X - I_p on R^{n x p}, a symmetric p x p matrix; zero set =
+    orthonormal columns.  q = p (p + 1) / 2, the dimension of Sym(p)."""
 
     def __init__(self, n: int, p: int):
         self.n = n
@@ -277,26 +247,28 @@ class StiefelConstraint:
     def value(self, X) -> np.ndarray:
         self._check(X)
         X = as_dense(X)
-        return flatten_sym(X.T @ X - np.eye(self.p))
+        return X.T @ X - np.eye(self.p)
 
     def dh(self, X, Z) -> np.ndarray:
         self._check(X, Z)
         XtZ = as_dense(X).T @ as_dense(Z)
-        return flatten_sym(XtZ + XtZ.T)
+        return XtZ + XtZ.T
 
     def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
+        """X (lam + lam^T), the adjoint of dh on all p x p matrices; 2 X lam
+        for the symmetric multipliers the solvers produce."""
         self._check(X)
-        # scaling the p x p multiplier instead of the n x p product gives
-        # the same bits, as doubling is exact
-        return as_dense(X) @ (2.0 * unflatten_sym(lam, self.p))
+        if lam.shape != (self.p, self.p):
+            raise ShapeMismatch(f"expected a {self.p} x {self.p} multiplier")
+        return as_dense(X) @ (lam + lam.T)
 
     def gram_solver(self, X):
-        """Invert lam -> flatten_sym(2 (G L + L G)) with G = X^T X, whose
+        """Invert L -> 2 (G L + L G) on Sym(p) with G = X^T X, whose
         eigendecomposition is taken once here."""
         self._check(X)
         X = as_dense(X)
         sylvester = sym_sylvester_solver(X.T @ X)
-        return lambda b: flatten_sym(sylvester(unflatten_sym(b, self.p) / 2.0))
+        return lambda b: sylvester(b / 2.0)
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)

@@ -69,7 +69,8 @@ def pcg(
     max_iter: int = 200,
 ) -> PcgResult:
     """Preconditioned conjugate gradients for a symmetric PSD operator,
-    given as the callable ``A(v) = A v``.
+    given as the callable ``A(v) = A v``, on arrays of any shape under the
+    Frobenius inner product.
 
     Stops when ||A x - b|| <= tol * ||b||.  On budget exhaustion the best
     iterate seen (smallest residual) is returned with converged=False.
@@ -77,34 +78,34 @@ def pcg(
     updated in place here, so none is copied.
     """
     b = np.asarray(b, dtype=float)
-    # the 1-D np.linalg.norm, sqrt(r . r), bit for bit without its overhead
-    nb = math.sqrt(b @ b)
+    # np.linalg.norm, sqrt(<b, b>), bit for bit without its overhead
+    nb = math.sqrt(np.vdot(b, b))
     x = np.zeros_like(b)
     if nb == 0.0:
         return PcgResult(x, 0, True)
     r = b
     z = precond(r) if precond is not None else r
     p = z
-    rz = float(r @ z)
+    rz = float(np.vdot(r, z))
     best_x = x
     best_res = nb
     for it in range(1, max_iter + 1):
         Ap = A(p)
-        pAp = float(p @ Ap)
+        pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
             # numerically lost positive definiteness; stop with best iterate
             return PcgResult(best_x, it, False)
         step = rz / pAp
         x = x + step * p
         r = r - step * Ap
-        res = math.sqrt(r @ r)
+        res = math.sqrt(np.vdot(r, r))
         if res < best_res:
             best_res = res
             best_x = x
         if res <= tol * nb:
             return PcgResult(x, it, True)
         z = precond(r) if precond is not None else r
-        rz_new = float(r @ z)
+        rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     return PcgResult(best_x, max_iter, False)

@@ -19,13 +19,12 @@ from gotd import (
     StiefelConstraint,
     hyperbolic_grad,
     hyperbolic_objective,
-    pinv_apply,
     sparsity_ratio,
     sphere_grad,
     sphere_objective,
     sphere_test_error,
 )
-from gotd.solvers import RANK_RTOL
+from gotd.solvers import RANK_RTOL, pinv_apply
 
 
 def random_factored(rng, m, n, r, scale=1.0) -> FactoredPoint:
@@ -142,7 +141,7 @@ def project_onto_basis(basis, Z):
 def intersection_basis(constraint, X_dense, tangent_basis, tol=1e-9):
     """Orthonormal basis of ker(Dh) within span(tangent_basis), from the
     SVD of the constraint differential restricted to the tangent basis."""
-    D = np.column_stack([constraint.dh(X_dense, B) for B in tangent_basis])
+    D = np.column_stack([np.ravel(constraint.dh(X_dense, B)) for B in tangent_basis])
     _, svals, Vt = np.linalg.svd(D)
     scale = svals[0] if svals.size and svals[0] > 0 else 1.0
     null_coeffs = [
@@ -330,24 +329,44 @@ def dense_modes_problem(data) -> Problem:
 # the q-column route: the reduced Gram matrix assembled and pseudo-inverted
 # ---------------------------------------------------------------------------
 
+def multiplier_basis(constraint, point):
+    """Orthonormal basis of the multiplier space: the unit vectors of R^q
+    for a vector-valued h, and E_ii, (E_ij + E_ji) / sqrt(2) for i < j
+    for a symmetric p x p one (the Stiefel map)."""
+    shape = np.shape(constraint.value(point))
+    if len(shape) == 1:
+        return list(np.eye(shape[0]))
+    basis = []
+    for i, j in zip(*np.triu_indices(shape[0])):
+        E = np.zeros(shape)
+        E[i, j] = E[j, i] = 1.0 if i == j else np.sqrt(0.5)
+        basis.append(E)
+    return basis
+
+
 def reduced_gram_matrix(manifold, constraint, point):
-    """B = Dh P_T Dh* assembled column by column and symmetrized."""
-    basis = np.eye(constraint.q)
+    """B = Dh P_T Dh* in the coordinates of :func:`multiplier_basis`,
+    assembled column by column and symmetrized."""
+    basis = multiplier_basis(constraint, point)
     B = np.empty((constraint.q, constraint.q))
-    for j in range(constraint.q):
-        col = manifold.tangent_project(point, constraint.dh_adjoint(point, basis[j]))
-        B[:, j] = constraint.dh(point, col)
+    for j, E in enumerate(basis):
+        col = manifold.tangent_project(point, constraint.dh_adjoint(point, E))
+        image = constraint.dh(point, col)
+        B[:, j] = [np.vdot(F, image) for F in basis]
     return 0.5 * (B + B.T)
 
 
 def loop_tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     """Projection onto ker(Dh) within the tangent space through the
     pseudo-inverse of the assembled reduced Gram matrix:
-    P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi).
+    P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi), with the
+    multiplier in the coordinates of :func:`multiplier_basis`.
     Signature of ``gotd.algorithm.tangent_intersection_project``; ``gram``
     is not used."""
     xi_bar = manifold.tangent_project(point, xi)
+    basis = multiplier_basis(constraint, point)
     B = reduced_gram_matrix(manifold, constraint, point)
-    lam = pinv_apply(B, constraint.dh(point, xi_bar), rel_tol=1e-12)
+    rhs = constraint.dh(point, xi_bar)
+    coeffs = pinv_apply(B, [np.vdot(E, rhs) for E in basis], rel_tol=1e-12)
+    lam = sum(c * E for c, E in zip(coeffs, basis))
     return xi_bar - manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
-

@@ -12,8 +12,6 @@ from gotd import (
     ShapeMismatch,
     SparsityManifold,
     StiefelConstraint,
-    flatten_sym,
-    unflatten_sym,
 )
 from oracles import fd_dh_check, quartic_hyperboloid_project
 
@@ -43,42 +41,13 @@ def make_instance(kind, rng):
     return StiefelConstraint(6, 3), rng.standard_normal((6, 3))
 
 
-class TestFlattening:
-    def test_isometric(self, rng):
-        S = rng.standard_normal((4, 4))
-        S = S + S.T
-        v = flatten_sym(S)
-        assert v.shape == (10,)
-        assert np.isclose(np.linalg.norm(v), np.linalg.norm(S))
-
-    def test_round_trip(self, rng):
-        S = rng.standard_normal((5, 5))
-        S = S + S.T
-        assert np.allclose(unflatten_sym(flatten_sym(S), 5), S)
-
-    def test_preserves_inner_products(self, rng):
-        A = rng.standard_normal((3, 3))
-        B = rng.standard_normal((3, 3))
-        A, B = A + A.T, B + B.T
-        assert np.isclose(flatten_sym(A) @ flatten_sym(B), np.sum(A * B))
-
-    @pytest.mark.parametrize("p", range(1, 13))
-    def test_matches_fancy_indexing_and_round_trips(self, rng, p):
-        iu, ju = np.triu_indices(p)
-        w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-        A = rng.standard_normal((p, p))
-        # the upper triangle is read, also from a non-contiguous view
-        for S in (A, A.T):
-            assert np.array_equal(flatten_sym(S), S[iu, ju] * w)
-        lam = rng.standard_normal(iu.size)
-        S = np.empty((p, p))
-        S[iu, ju] = S[ju, iu] = lam / w
-        assert np.array_equal(unflatten_sym(lam, p), S)
-        eps = np.finfo(float).eps
-        assert np.max(np.abs(flatten_sym(S) - lam)) <= 4 * eps * np.max(np.abs(lam))
-        assert np.max(np.abs(unflatten_sym(flatten_sym(A + A.T), p) - (A + A.T))) <= (
-            4 * eps * np.max(np.abs(A + A.T))
-        )
+def random_multiplier(C, rng):
+    """A random multiplier: a vector of R^q, or a symmetric p x p matrix
+    for the Stiefel map."""
+    if isinstance(C, StiefelConstraint):
+        A = rng.standard_normal((C.p, C.p))
+        return A + A.T
+    return rng.standard_normal(C.q)
 
 
 class TestValues:
@@ -136,7 +105,7 @@ class TestAdjoints:
     @pytest.mark.parametrize("kind", ALL_TYPES)
     def test_zero_multiplier(self, rng, kind):
         C, X = make_instance(kind, rng)
-        assert np.allclose(C.dh_adjoint(X, np.zeros(C.q)), 0.0)
+        assert np.allclose(C.dh_adjoint(X, np.zeros_like(random_multiplier(C, rng))), 0.0)
 
     def test_hyperboloid_unit_multiplier(self, rng):
         C = HyperboloidConstraint(4, 6)
@@ -152,10 +121,25 @@ class TestAdjoints:
         C, X = make_instance(kind, rng)
         for _ in range(10):
             Z = rng.standard_normal(X.shape)
-            lam = rng.standard_normal(C.q)
-            lhs = C.dh(X, Z) @ lam
+            lam = random_multiplier(C, rng)
+            lhs = np.vdot(C.dh(X, Z), lam)
             rhs = np.sum(Z * C.dh_adjoint(X, lam))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+    def test_stiefel_adjoint_identity_nonsymmetric(self, rng):
+        # X (L + L^T) is the adjoint of dh on all p x p matrices L
+        C, X = make_instance("stiefel", rng)
+        for _ in range(10):
+            Z = rng.standard_normal(X.shape)
+            lam = rng.standard_normal((C.p, C.p))
+            lhs = np.vdot(C.dh(X, Z), lam)
+            rhs = np.vdot(Z, C.dh_adjoint(X, lam))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+    def test_stiefel_multiplier_shape_checked(self, rng):
+        C, X = make_instance("stiefel", rng)
+        with pytest.raises(ShapeMismatch):
+            C.dh_adjoint(X, np.zeros(C.q))
 
 
 class TestGramSolve:
@@ -176,13 +160,13 @@ class TestGramSolve:
     def test_stiefel_orthonormal(self, rng):
         C = StiefelConstraint(6, 3)
         Q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        b = rng.standard_normal(C.q)
+        b = random_multiplier(C, rng)
         assert np.allclose(C.gram_solve(Q, b), b / 4.0)
 
     @pytest.mark.parametrize("kind", ALL_TYPES)
     def test_gram_residual(self, rng, kind):
         C, X = make_instance(kind, rng)
-        b = rng.standard_normal(C.q)
+        b = random_multiplier(C, rng)
         lam = C.gram_solve(X, b)
         residual = C.dh(X, C.dh_adjoint(X, lam)) - b
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
@@ -200,10 +184,10 @@ class TestGramSolve:
             X = FixedRankManifold(*X.shape, min(X.shape)).project(X)
         solve = C.gram_solver(X)
         for _ in range(5):
-            lam = rng.standard_normal(C.q)
+            lam = random_multiplier(C, rng)
             out = solve(C.dh(X, C.dh_adjoint(X, lam)))
             assert np.linalg.norm(out - lam) <= 1e-10 * np.linalg.norm(lam)
-            b = rng.standard_normal(C.q)
+            b = random_multiplier(C, rng)
             assert np.array_equal(solve(b), C.gram_solve(X, b))
 
     def test_zero_row_rejected(self):
@@ -220,7 +204,7 @@ class TestGramSolve:
         C = StiefelConstraint(3, 2)
         X = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(IllConditioned):
-            C.gram_solve(X, np.ones(C.q))
+            C.gram_solve(X, np.ones((2, 2)))
 
 
 class TestProjections:
@@ -285,15 +269,18 @@ class TestProjections:
         for j in range(0, 300, 60):
             assert_nearest_on_sampled_sheet(Y[:, j], X[:, j], rng)
 
-    def test_hyperboloid_tiny_first_coordinate_rejected(self):
-        # the root sits about 1e-9 below mu = 1, where 1 - mu keeps too few
-        # digits for y_0 / (1 - mu) to put the column on the sheet
-        C = HyperboloidConstraint(2, 2)
-        Y = np.array([[1e-3, 1e-9], [0.6, 0.6], [0.3, 0.3]])
-        with pytest.raises(DegenerateProjection, match="did not converge"):
-            C.project(Y)
-        x = C.project(Y[:, :1].repeat(2, axis=1))
-        assert np.abs(C.value(x)).max() <= 1e-12
+    @pytest.mark.parametrize("y0", [1e-6, 1e-10])
+    def test_hyperboloid_tiny_first_coordinate(self, rng, y0):
+        # the root sits about |y_0| / ||y|| below mu = 1, where 1 - mu keeps
+        # too few digits for y_0 / (1 - mu); the sheet equation gives x_0
+        C = HyperboloidConstraint(3, 20)
+        Y = rng.standard_normal((4, 20))
+        Y[0] = y0 * np.sign(Y[0])
+        X = C.project(Y)
+        assert np.abs(C.value(X)).max() <= 1e-14
+        assert np.all(X[0] > 0)
+        for j in range(0, 20, 5):
+            assert_nearest_on_sampled_sheet(Y[:, j], X[:, j], rng)
 
     @given(
         n=st.integers(1, 40),

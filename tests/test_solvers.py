@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from gotd import (
-    IllConditioned,
-    RankDeficient,
-    pcg,
-    pinv_apply,
-    sym_sylvester_solver,
-    truncated_svd,
-)
+from gotd import IllConditioned, RankDeficient, pcg, truncated_svd
+from gotd.solvers import pinv_apply, sym_sylvester_solver
 
 
 def dense_from_factors(U, s, V):
@@ -134,6 +128,18 @@ class TestPcg:
         assert plain.converged is (max_iter == 50)
         assert np.array_equal(plain.x, same.x)
         assert np.array_equal(b, b0)
+
+    def test_matrix_shaped_sylvester_system(self, rng):
+        # L -> G L + L G is SPD on Sym(p) under the Frobenius inner
+        # product; pcg solves it on p x p arrays without flattening
+        M = rng.standard_normal((5, 5))
+        G = M @ M.T + np.eye(5)
+        B = rng.standard_normal((5, 5))
+        B = B + B.T
+        L, _, converged = pcg(lambda X: G @ X + X @ G, B, tol=1e-12, max_iter=50)
+        assert converged and L.shape == (5, 5)
+        ref = sym_sylvester_solver(G)(B)
+        assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_non_convergence_flag(self, rng):
         d = np.logspace(0, 8, 40)
