@@ -39,7 +39,7 @@ print(f"objective ratio f/f0 : {final.f_value / f0:.4f}")
 print(f"sheet residual |h(X)|: {final.feas_norm:.3e}")
 
 polished = alternating_projections(
-    problem.manifold, problem.constraint, result.point.dense(),
+    problem.manifold, problem.constraint, result.point,
     tol=1e-10, max_iter=100,
 )
 print(f"\nalternating projections: |h| = {polished.feas_norm:.3e} "

@@ -64,14 +64,25 @@ class FactoredPoint:
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X[rows, cols] from the factors, at O(len(rows) r)."""
-        # one contiguous column at a time: 1-D gathers are several times
-        # faster than gathering whole rows of the (m, r) factors
-        A = np.ascontiguousarray((self.u * self.sigma).T)
-        B = np.ascontiguousarray(self.v.T)
-        out = A[0][rows] * B[0][cols]
-        for k in range(1, self.rank):
-            out += A[k][rows] * B[k][cols]
-        return out
+        return product_entries(self.u * self.sigma, self.v, rows, cols)
+
+
+def product_entries(A: np.ndarray, B: np.ndarray, rows, cols) -> np.ndarray:
+    """(A B^T)[rows, cols] for A (m, k) and B (n, k), at O(len(rows) k).
+
+    Each entry is the running sum over j = 0, 1, ... of A[i, j] B[l, j].
+    The index arrays may broadcast against each other, so
+    ``np.ix_(np.arange(m), np.arange(n))`` gives the whole m x n product
+    with every entry bit-equal to its gather (a BLAS ``A @ B.T`` is not).
+    """
+    # one contiguous column at a time: 1-D gathers are several times
+    # faster than gathering whole rows of the (m, k) factors
+    At = np.ascontiguousarray(A.T)
+    Bt = np.ascontiguousarray(B.T)
+    out = At[0][rows] * Bt[0][cols]
+    for k in range(1, At.shape[0]):
+        out += At[k][rows] * Bt[k][cols]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

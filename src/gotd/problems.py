@@ -22,6 +22,7 @@ from .manifolds import (
     SparsityManifold,
     SupportPoint,
     as_dense,
+    product_entries,
 )
 from .solvers import truncated_svd
 
@@ -46,22 +47,35 @@ class SparsePattern:
         self.rows = rows
         self.cols = cols
         self.shape = tuple(shape)
-        self.by_row = _Runs(rows, cols, self.shape[0])
-        self.by_col = _Runs(cols, rows, self.shape[1])
+        m, n = self.shape
+        self.by_row = _Runs(rows, cols, m, n)
+        self.by_col = _Runs(cols, rows, n, m)
 
 
 class _Runs:
-    """Entries ordered by their output index, for G @ W: ``order`` sorts
-    them (None when they are sorted already), ``inner`` is their input
-    index in that order, and the run of output index ``present[i]``
-    starts at ``starts[i]``."""
+    """Entries ordered by their output index, for G @ W, and by their
+    input index within a run: ``order`` sorts them (None when they are
+    sorted already), ``inner`` is their input index in that order, and
+    the run of output index ``present[i]`` starts at ``starts[i]``.
 
-    def __init__(self, outer: np.ndarray, inner: np.ndarray, size: int):
-        order = np.argsort(outer, kind="stable")
-        self.order = None if np.all(np.diff(outer) >= 0) else order
-        self.inner = inner[order]
-        self.present = np.flatnonzero(np.bincount(outer, minlength=size))
-        self.starts = np.searchsorted(outer[order], self.present)
+    The order is one argsort of the distinct keys outer * inner_size +
+    inner.  That is cheaper than a stable argsort of ``outer``, and the
+    same permutation when the entries of each run come in increasing
+    input index, as they do for a sample sorted row-major.  ``inner`` is
+    kept contiguous, because every step gathers through it.
+    """
+
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, size: int, inner_size: int):
+        key = outer * inner_size + inner
+        if np.all(key[1:] > key[:-1]):
+            self.order = None
+            self.inner = np.ascontiguousarray(inner)
+        else:
+            self.order = np.argsort(key)
+            self.inner = inner[self.order]
+        counts = np.bincount(outer, minlength=size)
+        self.present = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.present]
         self.size = size
 
     def product(self, vals: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -125,9 +139,22 @@ class CooMatrix:
 
 @dataclass
 class SphereFitProblem:
-    target: np.ndarray          # ground truth on the oblique set
-    omega: tuple                # (rows, cols) of observed entries
-    gamma: tuple                # (rows, cols) of held-out test entries
+    """Spherical data fitting: the rank-r truth ``left @ right.T``, whose
+    rows have unit norm, is seen on the sample Omega; Gamma is a disjoint
+    held-out sample of the same size, and both are (rows, cols) pairs of
+    contiguous index arrays sorted row-major.
+
+    The truth is kept factored, ``left`` = Diag(1/||(U Sigma)_i||) U Sigma
+    (m x r, unit rows) and ``right`` = V (n x r, orthonormal columns), so
+    the data take O((m + n) r + |Omega|) memory.  ``target_omega`` and
+    ``target_gamma`` are gathered from the factors, and ``target`` builds
+    the dense m x n matrix on demand with entries bit-equal to them.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    omega: tuple
+    gamma: tuple
     m: int
     n: int
     r: int
@@ -139,9 +166,15 @@ class SphereFitProblem:
     omega_pattern: SparsePattern = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.target_omega = self.target[self.omega]
-        self.target_gamma = self.target[self.gamma]
+        self.target_omega = product_entries(self.left, self.right, *self.omega)
+        self.target_gamma = product_entries(self.left, self.right, *self.gamma)
         self.omega_pattern = SparsePattern(*self.omega, (self.m, self.n))
+
+    @property
+    def target(self) -> np.ndarray:
+        """The dense m x n ground truth, built on each access."""
+        everywhere = np.ix_(np.arange(self.m), np.arange(self.n))
+        return product_entries(self.left, self.right, *everywhere)
 
 
 def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> SphereFitProblem:
@@ -156,12 +189,14 @@ def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> S
     U = np.linalg.qr(rng.standard_normal((m, r)))[0]
     V = np.linalg.qr(rng.standard_normal((n, r)))[0]
     sig = rng.uniform(0.0, 1.0, r)
-    A = (U * sig) @ V.T
-    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    # V has orthonormal columns, so row i of U Sigma V^T has the norm of
+    # row i of U Sigma
+    left = U * sig
+    left /= np.linalg.norm(left, axis=1, keepdims=True)
     flat = rng.choice(m * n, size=2 * nobs, replace=False)
-    omega = np.unravel_index(np.sort(flat[:nobs]), (m, n))
-    gamma = np.unravel_index(np.sort(flat[nobs:]), (m, n))
-    return SphereFitProblem(A, omega, gamma, m, n, r, oversampling, seed)
+    omega = np.divmod(np.sort(flat[:nobs]), n)
+    gamma = np.divmod(np.sort(flat[nobs:]), n)
+    return SphereFitProblem(left, V, omega, gamma, m, n, r, oversampling, seed)
 
 
 def _sampled(X, idx) -> np.ndarray:

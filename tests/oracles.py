@@ -47,6 +47,24 @@ def feasible_oblique_lowrank(rng, m, n, r) -> FactoredPoint:
     return FixedRankManifold(m, n, r).project(X)
 
 
+def dense_sphere_data(m, n, r, oversampling, seed):
+    """The sphere data (target, omega, gamma) built the dense way, from
+    the same random stream as ``gen_sphere_data``: the m x n product
+    (U Sigma) V^T with its rows normalized, and the samples unraveled
+    from flat indices."""
+    nobs = round(oversampling * r * (m + n - r))
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    sig = rng.uniform(0.0, 1.0, r)
+    A = (U * sig) @ V.T
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    flat = rng.choice(m * n, size=2 * nobs, replace=False)
+    omega = np.unravel_index(np.sort(flat[:nobs]), (m, n))
+    gamma = np.unravel_index(np.sort(flat[nobs:]), (m, n))
+    return A, omega, gamma
+
+
 def feasible_hyperboloid_lowrank(rng, n, m, s) -> FactoredPoint:
     """Generic rank-s point whose columns sit on the upper hyperboloid
     sheet.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from gotd import (
     sphere_objective,
     sphere_test_error,
 )
-from oracles import fd_gradient_check
+from oracles import dense_sphere_data, fd_gradient_check
 
 
 class TestSphereData:
@@ -55,6 +57,55 @@ class TestSphereData:
     def test_target_rank(self):
         data = gen_sphere_data(40, 30, 3, 2.0, 0)
         assert np.linalg.matrix_rank(data.target) == 3
+
+    @pytest.mark.parametrize("m, n, r, os_, seed", [(30, 25, 2, 2.0, 1), (200, 240, 5, 6, 0)])
+    def test_matches_dense_generator(self, m, n, r, os_, seed):
+        A, omega, gamma = dense_sphere_data(m, n, r, os_, seed)
+        data = gen_sphere_data(m, n, r, os_, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(data.omega, omega))
+        assert all(np.array_equal(a, b) for a, b in zip(data.gamma, gamma))
+        assert np.abs(data.target - A).max() <= 1e-15
+
+    def test_target_bit_equal_to_gathers(self):
+        data = gen_sphere_data(200, 240, 5, 6, 0)
+        target = data.target
+        assert np.array_equal(target[data.omega], data.target_omega)
+        assert np.array_equal(target[data.gamma], data.target_gamma)
+
+    def test_truth_factors(self):
+        data = gen_sphere_data(40, 30, 3, 2.0, 0)
+        assert data.left.shape == (40, 3) and data.right.shape == (30, 3)
+        assert np.abs(np.linalg.norm(data.left, axis=1) - 1.0).max() <= 1e-14
+        assert np.abs(data.right.T @ data.right - np.eye(3)).max() <= 1e-14
+
+    def test_gathered_indices_contiguous(self):
+        # a step gathers through these; strided views are slower
+        data = gen_sphere_data(30, 25, 2, 2.0, 1)
+        pattern = data.omega_pattern
+        for idx in (*data.omega, *data.gamma, pattern.by_row.inner, pattern.by_col.inner):
+            assert idx.flags.c_contiguous
+
+    def test_runs_order_is_stable_argsort(self):
+        data = gen_sphere_data(200, 240, 5, 6, 0)
+        rows, cols = data.omega
+        pattern = data.omega_pattern
+        # omega is sorted by row: the row runs need no reordering
+        assert pattern.by_row.order is None
+        assert np.array_equal(np.argsort(rows, kind="stable"), np.arange(rows.size))
+        assert np.array_equal(pattern.by_col.order, np.argsort(cols, kind="stable"))
+        assert np.array_equal(pattern.by_col.inner, rows[pattern.by_col.order])
+
+    def test_setup_memory_bounded(self):
+        # the dense truth alone would take 6000 * 7200 * 8 B = 346 MB; at
+        # this size 2|Omega| <= mn / 50, so the sampling needs no m n array
+        tracemalloc.start()
+        try:
+            data = gen_sphere_data(6000, 7200, 5, 6, 3)
+            init_sphere(data, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
 
 
 class TestSphereObjective:
