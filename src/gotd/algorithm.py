@@ -44,9 +44,9 @@ class Problem:
     for a fixed-rank manifold.  ``value_and_grad``, when set, returns
     ``(f, grad)`` from one evaluation of the point, and the loop calls it
     once per iterate in place of ``f`` and ``grad_f``; its gradient may
-    already be projected onto the tangent space of M (the hyperbolic pair
-    returns a :class:`~gotd.manifolds.FixedRankTangent`), because only
-    that projection enters the step.  The projection onto S(X) is
+    already be projected onto the tangent space of M (the sphere and
+    hyperbolic pairs return a :class:`~gotd.manifolds.FixedRankTangent` at
+    a fixed-rank point), because only that projection enters the step.  The projection onto S(X) is
     :func:`tangent_intersection_project` for every pair; it needs only
     the contract maps.  ``extra_metric`` is evaluated on traced iterates
     (test error, sparsity, cost ratio, ...).
@@ -213,8 +213,9 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  Any numerical
     failure (rank collapse, singular Gram, degenerate retraction,
-    non-finite values, a failing extra metric) aborts the run with the
-    iterate index in the reason string.
+    non-finite values, an extra metric that fails or is not finite)
+    aborts the run with the iterate index in the reason string; an extra
+    metric may return None, which the trace records as empty.
     """
     point = x0
     trace: list = []
@@ -233,6 +234,11 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
             done = max(gh, gf) <= config.tol or k == config.max_iter
             if k % config.trace_every == 0 or done:
                 extra = problem.extra_metric(point) if problem.extra_metric else None
+                if extra is not None and not np.isfinite(extra):
+                    return GotdResult(
+                        point, trace, RunStatus.ABORTED,
+                        f"iteration {k}: extra metric is {extra}",
+                    )
                 trace.append(
                     TraceRecord(
                         k, time.perf_counter() - t_start, f_val, feas, gh, gf, extra

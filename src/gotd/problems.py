@@ -34,6 +34,11 @@ LORENTZ_SLACK = 1e-9
 # sparse ambient operands
 # ---------------------------------------------------------------------------
 
+# entries per block of the sampled kernels: a block's gathered factor
+# columns stay in cache, where |Omega|-long gathers fault in fresh pages
+BLOCK_ENTRIES = 4096
+
+
 class SparsePattern:
     """Distinct positions (rows, cols) of a sparse m x n matrix, grouped
     once by row and once by column.
@@ -41,6 +46,8 @@ class SparsePattern:
     Products of a :class:`CooMatrix` on the pattern are then segment sums
     (``np.add.reduceat``) over contiguous runs, several times faster in
     numpy than scattering with ``np.bincount``.
+    :meth:`residual_products` fuses the sampling of a factored matrix with
+    those products, block by block.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple):
@@ -50,6 +57,31 @@ class SparsePattern:
         m, n = self.shape
         self.by_row = _Runs(rows, cols, m, n)
         self.by_col = _Runs(cols, rows, n, m)
+
+    def residual_products(self, A, B, target, W) -> tuple:
+        """The residual R = (A B^T)[rows, cols] - target, and R B and
+        R^T W of the matrix with the values R on the pattern.
+
+        One pass over the row blocks gathers B^T once per block for both
+        the entries and R B; a second pass over the column blocks gives
+        R^T W.  Every entry, residual and product is bit-equal to
+        :func:`~gotd.manifolds.product_entries` and the
+        :class:`CooMatrix` products.
+        """
+        At, Bt, Wt = (np.ascontiguousarray(F.T) for F in (A, B, W))
+        resid = np.empty(len(self.rows))
+        RB = np.zeros((Bt.shape[0], self.shape[0]))
+        for idx, runs, starts, x, Bb in self.by_row.blocks_of(At, Bt):
+            x -= target[idx]
+            resid[idx] = x
+            Bb *= x
+            RB[:, runs] = np.add.reduceat(Bb, starts, axis=1)
+        RtW = np.zeros((Wt.shape[0], self.shape[1]))
+        for idx, inner, runs, _, starts in self.by_col.blocks:
+            Wb = Wt.take(inner, axis=1)
+            Wb *= resid[idx]
+            RtW[:, runs] = np.add.reduceat(Wb, starts, axis=1)
+        return resid, RB.T, RtW.T
 
 
 class _Runs:
@@ -63,6 +95,13 @@ class _Runs:
     same permutation when the entries of each run come in increasing
     input index, as they do for a sample sorted row-major.  ``inner`` is
     kept contiguous, because every step gathers through it.
+
+    ``blocks`` cuts the ordered entries at run starts into blocks of at
+    most ``BLOCK_ENTRIES`` (a longer run is a block of its own).  Block
+    (idx, inner, runs, counts, starts) holds the entries at positions
+    ``idx`` of the input order, with their input indices ``inner``: the
+    runs of the output indices ``runs``, their lengths, and their starts
+    within the block.
     """
 
     def __init__(self, outer: np.ndarray, inner: np.ndarray, size: int, inner_size: int):
@@ -75,8 +114,23 @@ class _Runs:
             self.inner = inner[self.order]
         counts = np.bincount(outer, minlength=size)
         self.present = np.flatnonzero(counts)
-        self.starts = (np.cumsum(counts) - counts)[self.present]
+        counts = counts[self.present]
+        ends = np.cumsum(counts)
+        self.starts = ends - counts
         self.size = size
+        # stop[i]: one past the last run that ends within BLOCK_ENTRIES
+        # entries of the start of run i
+        stop = np.searchsorted(ends, self.starts + BLOCK_ENTRIES, "right").tolist()
+        self.blocks = []
+        i = 0
+        while i < counts.size:
+            j = max(stop[i], i + 1)
+            lo, hi = int(self.starts[i]), int(ends[j - 1])
+            idx = slice(lo, hi) if self.order is None else self.order[lo:hi]
+            self.blocks.append(
+                (idx, self.inner[lo:hi], self.present[i:j], counts[i:j], self.starts[i:j] - lo)
+            )
+            i = j
 
     def product(self, vals: np.ndarray, W: np.ndarray) -> np.ndarray:
         v = vals if self.order is None else vals[self.order]
@@ -85,6 +139,33 @@ class _Runs:
             for k, w in enumerate(np.ascontiguousarray(W.T)):
                 out[k, self.present] = np.add.reduceat(v * w[self.inner], self.starts)
         return out.T
+
+    def blocks_of(self, At: np.ndarray, Bt: np.ndarray):
+        """Per block: its ``idx``, ``runs`` and ``starts``, the entries x
+        of A B^T there, and B^T gathered at their inner indices (k x
+        block, writable).
+
+        A is indexed by the outer and B by the inner index, and At, Bt
+        are their contiguous transposes.  x is the running sum over k of
+        A[i, k] B[l, k], bit-equal to
+        :func:`~gotd.manifolds.product_entries`.
+        """
+        for idx, inner, runs, counts, starts in self.blocks:
+            Bb = Bt.take(inner, axis=1)
+            AB = np.repeat(At[:, runs], counts, axis=1)
+            AB *= Bb
+            x = AB[0]
+            for row in AB[1:]:
+                x += row
+            yield idx, runs, starts, x, Bb
+
+    def entries(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(A B^T) at the entries, in input order (see :meth:`blocks_of`)."""
+        out = np.empty(self.inner.size)
+        At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+        for idx, _, _, x, _ in self.blocks_of(At, Bt):
+            out[idx] = x
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +230,8 @@ class SphereFitProblem:
     the data take O((m + n) r + |Omega|) memory.  ``target_omega`` and
     ``target_gamma`` are gathered from the factors, and ``target`` builds
     the dense m x n matrix on demand with entries bit-equal to them.
+    Omega gets a full :class:`SparsePattern`, for the fused residual and
+    gradient products; Gamma only its row blocks, for the held-out gather.
     """
 
     left: np.ndarray
@@ -160,15 +243,18 @@ class SphereFitProblem:
     r: int
     oversampling: float
     seed: int
-    # gathered once: target[omega], target[gamma] and the pattern of omega
+    # gathered once: target[omega], target[gamma], the pattern of omega
+    # and the row runs of gamma
     target_omega: np.ndarray = field(init=False, repr=False)
     target_gamma: np.ndarray = field(init=False, repr=False)
     omega_pattern: SparsePattern = field(init=False, repr=False)
+    gamma_rows: _Runs = field(init=False, repr=False)
 
     def __post_init__(self):
         self.target_omega = product_entries(self.left, self.right, *self.omega)
         self.target_gamma = product_entries(self.left, self.right, *self.gamma)
         self.omega_pattern = SparsePattern(*self.omega, (self.m, self.n))
+        self.gamma_rows = _Runs(*self.gamma, self.m, self.n)
 
     @property
     def target(self) -> np.ndarray:
@@ -179,8 +265,12 @@ class SphereFitProblem:
 
 def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> SphereFitProblem:
     """Random rank-r ground truth with unit rows and disjoint train/test
-    entry sets of equal size |Omega| = round(OS * r * (m + n - r))."""
+    entry sets of equal size |Omega| = round(OS * r * (m + n - r)) >= 1."""
     nobs = round(oversampling * r * (m + n - r))
+    if nobs < 1:
+        raise InfeasibleSampling(
+            f"oversampling {oversampling} gives an empty sample for r={r}, {m} x {n}"
+        )
     if 2 * nobs > m * n:
         raise InfeasibleSampling(
             f"need {2 * nobs} distinct entries but the matrix has {m * n}"
@@ -199,39 +289,61 @@ def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> S
     return SphereFitProblem(left, V, omega, gamma, m, n, r, oversampling, seed)
 
 
-def _sampled(X, idx) -> np.ndarray:
-    """X[idx], read from the factors of a fixed-rank point."""
+def _residual(prob: SphereFitProblem, X) -> np.ndarray:
+    """X[Omega] - target[Omega], with X read from the factors of a
+    fixed-rank point."""
     if isinstance(X, FactoredPoint):
-        return X.entries(*idx)
-    return as_dense(X)[idx]
+        sampled = X.entries(*prob.omega)
+    else:
+        sampled = as_dense(X)[prob.omega]
+    return sampled - prob.target_omega
+
+
+def _half_square(resid: np.ndarray) -> float:
+    return 0.5 * float(np.linalg.norm(resid) ** 2)
 
 
 def sphere_objective(prob: SphereFitProblem, X) -> float:
-    resid = _sampled(X, prob.omega) - prob.target_omega
-    return 0.5 * float(np.linalg.norm(resid) ** 2)
+    return _half_square(_residual(prob, X))
 
 
 def sphere_grad(prob: SphereFitProblem, X):
     """The gradient is supported on Omega: a :class:`CooMatrix` for a
     fixed-rank point, a dense array for a dense X."""
-    return sphere_value_and_grad(prob, X)[1]
+    resid = _residual(prob, X)
+    if isinstance(X, FactoredPoint):
+        return CooMatrix(prob.omega_pattern, resid)
+    g = np.zeros_like(as_dense(X))
+    g[prob.omega] = resid
+    return g
 
 
 def sphere_value_and_grad(prob: SphereFitProblem, X):
-    """Objective and gradient (as in :func:`sphere_grad`) from one gather
-    of X on Omega."""
-    resid = _sampled(X, prob.omega) - prob.target_omega
-    f_val = 0.5 * float(np.linalg.norm(resid) ** 2)
-    if isinstance(X, FactoredPoint):
-        return f_val, CooMatrix(prob.omega_pattern, resid)
-    g = np.zeros_like(as_dense(X))
-    g[prob.omega] = resid
-    return f_val, g
+    """Objective and gradient from one pass over Omega.
+
+    At a fixed-rank point X = U Sigma V^T the gradient G (the residual on
+    Omega) enters the step only through its tangent projection, which
+    needs G V and G^T U; :meth:`SparsePattern.residual_products` gives
+    them with the residual, and the projection is returned as a
+    :class:`FixedRankTangent`.  A dense X gets the dense gradient of
+    :func:`sphere_grad`.
+    """
+    if not isinstance(X, FactoredPoint):
+        g = sphere_grad(prob, X)
+        return _half_square(g[prob.omega]), g
+    resid, GV, GtU = prob.omega_pattern.residual_products(
+        X.u * X.sigma, X.v, prob.target_omega, X.u
+    )
+    return _half_square(resid), FixedRankTangent.from_products(X, GV, GtU)
 
 
 def sphere_test_error(prob: SphereFitProblem, X) -> float:
     """Relative error on the held-out entries."""
-    num = np.linalg.norm(_sampled(X, prob.gamma) - prob.target_gamma)
+    if isinstance(X, FactoredPoint):
+        sampled = prob.gamma_rows.entries(X.u * X.sigma, X.v)
+    else:
+        sampled = as_dense(X)[prob.gamma]
+    num = np.linalg.norm(sampled - prob.target_gamma)
     return float(num / np.linalg.norm(prob.target_gamma))
 
 

@@ -365,6 +365,8 @@ class TestStepAndRun:
         # non-tangent step: the run ends ABORTED, not with a traceback
         data = gen_sphere_data(20, 18, 2, 1.5, 3)
         prob = make_sphere_problem(data)
+        # the fused gradient is tangent already; the sparse one is not
+        prob.value_and_grad = None
         monkeypatch.setattr(
             algorithm, "tangent_intersection_project",
             lambda manifold, constraint, point, xi, gram=None: xi,
@@ -374,6 +376,32 @@ class TestStepAndRun:
         assert res.status is RunStatus.ABORTED
         assert res.reason.startswith("iteration 0: eta is not tangent")
         assert len(res.trace) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_run_aborts_on_non_finite_extra_metric(self, bad):
+        data = gen_sphere_data(20, 18, 2, 1.5, 3)
+        prob = make_sphere_problem(data)
+        calls = []
+
+        def metric(X):
+            calls.append(X)
+            return bad if len(calls) == 3 else 0.0
+
+        prob.extra_metric = metric
+        res = gotd_run(prob, init_sphere(data, 3),
+                       GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason == f"iteration 2: extra metric is {bad}"
+        assert [rec.iteration for rec in res.trace] == [0, 1]
+
+    def test_run_allows_a_missing_extra_metric(self):
+        data = gen_sphere_data(20, 18, 2, 1.5, 3)
+        prob = make_sphere_problem(data)
+        prob.extra_metric = lambda X: None
+        res = gotd_run(prob, init_sphere(data, 3),
+                       GotdConfig(alpha=1.0, beta=1.0, max_iter=3, tol=0.0))
+        assert res.status is RunStatus.MAX_ITER
+        assert [rec.extra_metric for rec in res.trace] == [None] * 4
 
     @pytest.mark.parametrize(
         "exc", [DomainViolation("metric left its domain"), np.linalg.LinAlgError("singular")]

@@ -142,6 +142,14 @@ class TestRuns:
         )
         assert code == 2
 
+    def test_empty_sample_exit_code(self, tmp_path, capsys):
+        code = main(["sphere", "--m", "5", "--n", "4", "--r", "1", "--os", "0.01",
+                     "--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["sphere", "--m", "10"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -2,12 +2,15 @@
 
 Tangent vectors at X = U diag(sigma) V^T are stored as (M, Up, Vp) and
 low-rank operands A B^T as (A, B); the sphere problem reads X on its
-sample sets from the factors and keeps its gradient sparse, and the
-hyperboloid maps and projector work on U Sigma and V.  Every factored
+sample sets from the factors and projects its sparse gradient in one
+row-blocked pass, and the hyperboloid maps and projector work on
+U Sigma and V.  Every factored
 quantity here is compared with the same quantity built from m x n arrays
 (``oracles.DenseFixedRankManifold`` and friends), over shapes and points
 drawn by hypothesis.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from gotd import (
     tangent_intersection_project,
 )
 from gotd import algorithm, problems
+from gotd.manifolds import product_entries
 from gotd.problems import CooMatrix, SparsePattern
 from oracles import (
     DenseFixedRankManifold,
@@ -289,6 +293,74 @@ class TestSparseGradient:
         G = sphere_grad(data, X)
         assert isinstance(G, CooMatrix)
         assert np.allclose(np.asarray(G), sphere_grad(data, X.dense()), rtol=0, atol=1e-14)
+
+
+@st.composite
+def sampled(draw):
+    """(rng, rows, cols, point) with distinct positions, row-major unless
+    shuffled, including empty patterns, empty rows and rows of up to 9
+    entries."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = np.flatnonzero(rng.uniform(size=m * n) < draw(st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        flat = rng.permutation(flat)
+    rows, cols = np.divmod(flat, n)
+    return rng, rows, cols, random_factored(rng, m, n, draw(st.integers(1, min(m, n))))
+
+
+class TestSampledKernels:
+    """The row-blocked kernels, with blocks of 1-3 entries so that rows
+    span several blocks, against product_entries and CooMatrix products."""
+
+    @given(sampled(), st.integers(1, 3))
+    def test_match_gathers_and_products(self, case, block):
+        rng, rows, cols, X = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "BLOCK_ENTRIES", block)
+            pattern = SparsePattern(rows, cols, X.shape)
+            row_runs = problems._Runs(rows, cols, *X.shape)
+        A = X.u * X.sigma
+        sampled_x = product_entries(A, X.v, rows, cols)
+        target = rng.standard_normal(rows.size)
+        resid, RV, RtU = pattern.residual_products(A, X.v, target, X.u)
+        G = CooMatrix(pattern, sampled_x - target)
+        assert np.array_equal(row_runs.entries(A, X.v), sampled_x)
+        assert np.array_equal(resid, G.vals)
+        assert np.array_equal(RV, G @ X.v)
+        assert np.array_equal(RtU, G.T @ X.u)
+
+    @given(st.integers(4, 12), st.integers(4, 12), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_sphere_evaluation_bit_equal(self, m, n, r, block, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "BLOCK_ENTRIES", block)
+            data = gen_sphere_data(m, n, r, 0.5, seed)
+        X = random_factored(np.random.default_rng(seed), m, n, r)
+        f_val, grad = problems.sphere_value_and_grad(data, X)
+        ref = FixedRankManifold(m, n, r).tangent_project(X, sphere_grad(data, X))
+        assert f_val == problems.sphere_objective(data, X)
+        assert all(np.array_equal(getattr(grad, k), getattr(ref, k)) for k in ("M", "Up", "Vp"))
+        direct = np.linalg.norm(X.entries(*data.gamma) - data.target_gamma)
+        assert problems.sphere_test_error(data, X) == direct / np.linalg.norm(data.target_gamma)
+
+    def test_run_bit_equal_to_sparse_gradient_route(self, monkeypatch):
+        data = gen_sphere_data(200, 240, 5, 6, 0)
+        x0 = init_sphere(data, 0)
+        cfg = GotdConfig(alpha=1.0, beta=1.0, max_iter=20, tol=0.0)
+        res = gotd_run(make_sphere_problem(data), x0, cfg)
+        # the gradient as a CooMatrix, both samples gathered by product_entries
+        monkeypatch.setattr(problems, "sphere_value_and_grad", lambda prob, X: (
+            problems.sphere_objective(prob, X), problems.sphere_grad(prob, X)))
+        monkeypatch.setattr(problems, "sphere_test_error", lambda prob, X: float(
+            np.linalg.norm(X.entries(*prob.gamma) - prob.target_gamma)
+            / np.linalg.norm(prob.target_gamma)))
+        ref = gotd_run(make_sphere_problem(data), x0, cfg)
+        assert res.status is ref.status is RunStatus.MAX_ITER
+        assert [dataclasses.replace(rec, wall_seconds=0.0) for rec in res.trace] == [
+            dataclasses.replace(rec, wall_seconds=0.0) for rec in ref.trace]
+        assert all(np.array_equal(getattr(res.point, k), getattr(ref.point, k))
+                   for k in ("u", "sigma", "v"))
 
 
 def _assert_traces_match(trace, ref):

@@ -54,6 +54,11 @@ class TestSphereData:
         with pytest.raises(InfeasibleSampling):
             gen_sphere_data(10, 10, 3, 4.0, 0)
 
+    def test_empty_sample_is_infeasible(self):
+        # round(0.01 * 1 * (5 + 4 - 1)) = 0 entries: no objective, no test error
+        with pytest.raises(InfeasibleSampling, match="empty sample"):
+            gen_sphere_data(5, 4, 1, 0.01, 0)
+
     def test_target_rank(self):
         data = gen_sphere_data(40, 30, 3, 2.0, 0)
         assert np.linalg.matrix_rank(data.target) == 3
