@@ -65,6 +65,23 @@ def dense_sphere_data(m, n, r, oversampling, seed):
     return A, omega, gamma
 
 
+def unblocked_coo_matmul(G, W) -> np.ndarray:
+    """G @ W for a ``CooMatrix`` G without blocks: the entries sorted by
+    output index, then input index, and for each column of W one 1-D
+    ``np.add.reduceat`` of the values times W gathered at the input
+    indices.  The blocked products must match it bit for bit."""
+    p = G.pattern
+    outer, inner = (p.cols, p.rows) if G.transposed else (p.rows, p.cols)
+    order = np.lexsort((inner, outer))
+    outer, inner, vals = outer[order], inner[order], G.vals[order]
+    present, starts = np.unique(outer, return_index=True)
+    out = np.zeros((G.shape[0], W.shape[1]))
+    if present.size:
+        for k in range(W.shape[1]):
+            out[present, k] = np.add.reduceat(vals * W[inner, k], starts)
+    return out
+
+
 def feasible_hyperboloid_lowrank(rng, n, m, s) -> FactoredPoint:
     """Generic rank-s point whose columns sit on the upper hyperboloid
     sheet.

@@ -50,6 +50,7 @@ from oracles import (
     dense_sphere_problem,
     feasible_hyperboloid_lowrank,
     random_factored,
+    unblocked_coo_matmul,
 )
 
 
@@ -311,7 +312,7 @@ def sampled(draw):
 
 class TestSampledKernels:
     """The row-blocked kernels, with blocks of 1-3 entries so that rows
-    span several blocks, against product_entries and CooMatrix products."""
+    span several blocks, against product_entries and unblocked products."""
 
     @given(sampled(), st.integers(1, 3))
     def test_match_gathers_and_products(self, case, block):
@@ -327,8 +328,10 @@ class TestSampledKernels:
         G = CooMatrix(pattern, sampled_x - target)
         assert np.array_equal(row_runs.entries(A, X.v), sampled_x)
         assert np.array_equal(resid, G.vals)
-        assert np.array_equal(RV, G @ X.v)
-        assert np.array_equal(RtU, G.T @ X.u)
+        assert np.array_equal(RV, unblocked_coo_matmul(G, X.v))
+        assert np.array_equal(RtU, unblocked_coo_matmul(G.T, X.u))
+        assert np.array_equal(G @ X.v, RV)
+        assert np.array_equal(G.T @ X.u, RtU)
 
     @given(st.integers(4, 12), st.integers(4, 12), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -338,8 +341,14 @@ class TestSampledKernels:
             data = gen_sphere_data(m, n, r, 0.5, seed)
         X = random_factored(np.random.default_rng(seed), m, n, r)
         f_val, grad = problems.sphere_value_and_grad(data, X)
-        ref = FixedRankManifold(m, n, r).tangent_project(X, sphere_grad(data, X))
-        assert f_val == problems.sphere_objective(data, X)
+        resid = X.entries(*data.omega) - data.target_omega
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CooMatrix, "__matmul__", unblocked_coo_matmul)
+            ref = FixedRankManifold(m, n, r).tangent_project(
+                X, CooMatrix(data.omega_pattern, resid))
+        assert f_val == problems.sphere_objective(data, X) == 0.5 * float(
+            np.linalg.norm(resid) ** 2)
+        assert np.array_equal(sphere_grad(data, X).vals, resid)
         assert all(np.array_equal(getattr(grad, k), getattr(ref, k)) for k in ("M", "Up", "Vp"))
         direct = np.linalg.norm(X.entries(*data.gamma) - data.target_gamma)
         assert problems.sphere_test_error(data, X) == direct / np.linalg.norm(data.target_gamma)
@@ -349,9 +358,14 @@ class TestSampledKernels:
         x0 = init_sphere(data, 0)
         cfg = GotdConfig(alpha=1.0, beta=1.0, max_iter=20, tol=0.0)
         res = gotd_run(make_sphere_problem(data), x0, cfg)
-        # the gradient as a CooMatrix, both samples gathered by product_entries
-        monkeypatch.setattr(problems, "sphere_value_and_grad", lambda prob, X: (
-            problems.sphere_objective(prob, X), problems.sphere_grad(prob, X)))
+        # the gradient as a CooMatrix with unblocked products, both samples
+        # gathered by product_entries
+        def sparse_value_and_grad(prob, X):
+            resid = X.entries(*prob.omega) - prob.target_omega
+            return 0.5 * float(np.linalg.norm(resid) ** 2), CooMatrix(prob.omega_pattern, resid)
+
+        monkeypatch.setattr(problems, "sphere_value_and_grad", sparse_value_and_grad)
+        monkeypatch.setattr(CooMatrix, "__matmul__", unblocked_coo_matmul)
         monkeypatch.setattr(problems, "sphere_test_error", lambda prob, X: float(
             np.linalg.norm(X.entries(*prob.gamma) - prob.target_gamma)
             / np.linalg.norm(prob.target_gamma)))
