@@ -36,28 +36,27 @@ PCG_ITERS_PER_DIM = 2
 class Problem:
     """Objective + constraint pair defining one run.
 
-    ``f``, ``grad_f``, ``value_and_grad`` and ``extra_metric`` receive the
-    manifold point itself (a :class:`~gotd.manifolds.FactoredPoint`, a
-    :class:`~gotd.manifolds.SupportPoint`, ...); the package's objectives
-    accept dense arrays as well.  ``grad_f`` may return any operand that
-    the manifold's ``tangent_project`` takes, for instance a sparse matrix
-    for a fixed-rank manifold.  ``value_and_grad``, when set, returns
-    ``(f, grad)`` from one evaluation of the point, and the loop calls it
-    once per iterate in place of ``f`` and ``grad_f``; its gradient may
-    already be projected onto the tangent space of M (the sphere and
-    hyperbolic pairs return a :class:`~gotd.manifolds.FixedRankTangent` at
-    a fixed-rank point), because only that projection enters the step.  The projection onto S(X) is
-    :func:`tangent_intersection_project` for every pair; it needs only
-    the contract maps.  ``extra_metric`` is evaluated on traced iterates
-    (test error, sparsity, cost ratio, ...).
+    Every callable receives the manifold point itself (a
+    :class:`~gotd.manifolds.FactoredPoint`, a
+    :class:`~gotd.manifolds.SupportPoint`, ...).  The gradient comes from
+    ``value_and_grad``, which returns ``(f, grad)`` from one evaluation,
+    or from ``grad_f`` when a problem has no ``value_and_grad``; one of
+    the two must be set.  A gradient may be any operand that the
+    manifold's ``tangent_project`` takes: a sparse matrix, or a tangent
+    vector already projected, as the sphere and hyperbolic pairs return.
+    ``extra_metric`` is evaluated on traced iterates (test error, ...).
     """
 
     manifold: object
     constraint: object
     f: Callable[[object], float]
-    grad_f: Callable[[object], object]
+    grad_f: Optional[Callable[[object], object]] = None
     extra_metric: Optional[Callable[[object], float]] = None
     value_and_grad: Optional[Callable[[object], tuple]] = None
+
+    def __post_init__(self):
+        if self.value_and_grad is None and self.grad_f is None:
+            raise ValueError("a problem needs value_and_grad or grad_f")
 
 
 @dataclass
@@ -163,16 +162,23 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     return xi_bar - phi(result.x)
 
 
+def _value_and_gradient(problem: Problem, point):
+    """(f, grad f) from ``value_and_grad``, else (None, ``grad_f``)."""
+    if problem.value_and_grad is not None:
+        return problem.value_and_grad(point)
+    return None, problem.grad_f(point)
+
+
 def optimality_direction(problem: Problem, point, grad=None, gram=None):
     """Projection of -grad f onto S(X) by
     :func:`tangent_intersection_project`.
 
     ``grad`` is the gradient at the point when the caller has it already
     (it may be tangent-projected), and ``gram`` the constraint's Gram
-    solver there.
+    solver there.  Without ``grad`` it is read as :func:`gotd_run` reads it.
     """
     if grad is None:
-        grad = problem.grad_f(point)
+        grad = _value_and_gradient(problem, point)[1]
     return tangent_intersection_project(
         problem.manifold, problem.constraint, point, -grad, gram
     )
@@ -181,10 +187,8 @@ def optimality_direction(problem: Problem, point, grad=None, gram=None):
 def _evaluate(problem: Problem, point):
     """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
     gradient, one of h and one factorization of Dh Dh*."""
-    if problem.value_and_grad is not None:
-        f_val, grad = problem.value_and_grad(point)
-    else:
-        f_val, grad = problem.f(point), problem.grad_f(point)
+    f_val, grad = _value_and_gradient(problem, point)
+    f_val = problem.f(point) if f_val is None else f_val
     constraint = problem.constraint
     hv = constraint.value(point)
     gram = constraint.gram_solver(point)
@@ -207,9 +211,8 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
 
     The point itself is handed to the objective, the constraint and the
     projections, so a factored iterate stays factored through the step.
-    Each iterate is evaluated once: ``value_and_grad`` (or ``f`` and
-    ``grad_f``), ``h`` and the Gram solver of Dh Dh* are computed once and
-    shared by both directions.
+    Each iterate is evaluated once: ``value_and_grad`` (or ``grad_f`` and
+    ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions.
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  Any numerical
     failure (rank collapse, singular Gram, degenerate retraction,

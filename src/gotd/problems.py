@@ -14,7 +14,7 @@ import numpy as np
 
 from .algorithm import Problem
 from .constraints import HyperboloidConstraint, ObliqueConstraint, StiefelConstraint
-from .errors import DomainViolation, InfeasibleSampling
+from .errors import DomainViolation, InfeasibleSampling, ShapeMismatch
 from .manifolds import (
     FactoredPoint,
     FixedRankManifold,
@@ -244,16 +244,18 @@ class SphereFitProblem:
     r: int
     oversampling: float
     seed: int
-    # gathered once: target[omega], target[gamma], the pattern of omega
-    # and the row runs of gamma
+    # computed once: target[omega], target[gamma] and its norm, the
+    # pattern of omega and the row runs of gamma
     target_omega: np.ndarray = field(init=False, repr=False)
     target_gamma: np.ndarray = field(init=False, repr=False)
+    target_gamma_norm: float = field(init=False, repr=False)
     omega_pattern: SparsePattern = field(init=False, repr=False)
     gamma_rows: _Runs = field(init=False, repr=False)
 
     def __post_init__(self):
         self.target_omega = product_entries(self.left, self.right, *self.omega)
         self.target_gamma = product_entries(self.left, self.right, *self.gamma)
+        self.target_gamma_norm = np.linalg.norm(self.target_gamma)
         self.omega_pattern = SparsePattern(*self.omega, (self.m, self.n))
         self.gamma_rows = _Runs(*self.gamma, self.m, self.n)
 
@@ -267,6 +269,8 @@ class SphereFitProblem:
 def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> SphereFitProblem:
     """Random rank-r ground truth with unit rows and disjoint train/test
     entry sets of equal size |Omega| = round(OS * r * (m + n - r)) >= 1."""
+    if not 1 <= r <= min(m, n):
+        raise ShapeMismatch(f"rank r={r} is outside 1..min(m, n) for {m} x {n}")
     nobs = round(oversampling * r * (m + n - r))
     if nobs < 1:
         raise InfeasibleSampling(
@@ -319,19 +323,15 @@ def sphere_grad(prob: SphereFitProblem, X):
     return g
 
 
-def sphere_value_and_grad(prob: SphereFitProblem, X):
-    """Objective and gradient from one pass over Omega.
+def sphere_value_and_grad(prob: SphereFitProblem, X: FactoredPoint):
+    """Objective and gradient at a fixed-rank point X = U Sigma V^T from
+    one pass over Omega (:func:`sphere_grad` is the dense definition).
 
-    At a fixed-rank point X = U Sigma V^T the gradient G (the residual on
-    Omega) enters the step only through its tangent projection, which
-    needs G V and G^T U; :meth:`SparsePattern.residual_products` gives
-    them with the residual, and the projection is returned as a
-    :class:`FixedRankTangent`.  A dense X gets the dense gradient of
-    :func:`sphere_grad`.
+    The gradient G (the residual on Omega) enters the step only through
+    its tangent projection, which needs G V and G^T U;
+    :meth:`SparsePattern.residual_products` gives them with the residual,
+    and the projection is returned as a :class:`FixedRankTangent`.
     """
-    if not isinstance(X, FactoredPoint):
-        g = sphere_grad(prob, X)
-        return _half_square(g[prob.omega]), g
     resid, GV, GtU = prob.omega_pattern.residual_products(
         X.u * X.sigma, X.v, prob.target_omega, X.u
     )
@@ -345,7 +345,7 @@ def sphere_test_error(prob: SphereFitProblem, X) -> float:
     else:
         sampled = as_dense(X)[prob.gamma]
     num = np.linalg.norm(sampled - prob.target_gamma)
-    return float(num / np.linalg.norm(prob.target_gamma))
+    return float(num / prob.target_gamma_norm)
 
 
 def init_sphere(prob: SphereFitProblem, seed: int) -> FactoredPoint:
@@ -368,7 +368,6 @@ def make_sphere_problem(prob: SphereFitProblem) -> Problem:
         manifold=FixedRankManifold(prob.m, prob.n, prob.r),
         constraint=ObliqueConstraint(prob.m, prob.n),
         f=lambda X: sphere_objective(prob, X),
-        grad_f=lambda X: sphere_grad(prob, X),
         extra_metric=lambda X: sphere_test_error(prob, X),
         value_and_grad=lambda X: sphere_value_and_grad(prob, X),
     )
@@ -470,21 +469,20 @@ def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     return _weighted_targets(prob, _gradient_weights(_lorentz_gaps(prob, X)))
 
 
-def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X):
-    """Objective and gradient from one computation of the gaps.
+def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X: FactoredPoint):
+    """Objective and gradient at a fixed-rank point from one computation
+    of the gaps (:func:`hyperbolic_grad` is the dense definition).
 
-    At a fixed-rank point the gradient G = J T Diag(w) enters the step
-    only through its tangent projection, which needs G^T U = Diag(w) P^T
-    (P is reused from the gaps) and G V = J T (w .* V), one (n+1) x s
-    product; the projection is returned as a :class:`FixedRankTangent`
-    and no (n+1) x m array is formed.  An array gets the dense gradient.
+    The gradient G = J T Diag(w) enters the step only through its tangent
+    projection, which needs G^T U = Diag(w) P^T (P is reused from the
+    gaps) and G V = J T (w .* V), one (n+1) x s product; the projection
+    is returned as a :class:`FixedRankTangent` and no (n+1) x m array is
+    formed.
     """
-    P = _signature_pairing(prob, X) if isinstance(X, FactoredPoint) else None
+    P = _signature_pairing(prob, X)
     u = _lorentz_gaps(prob, X, P)
     w = _gradient_weights(u)
     f_val = float(np.sum(np.arccosh(u) ** 2))
-    if P is None:
-        return f_val, _weighted_targets(prob, w)
     GV = prob.targets @ (w[:, None] * X.v)
     GV[0] = -GV[0]
     return f_val, FixedRankTangent.from_products(X, GV, w[:, None] * P.T)
@@ -513,7 +511,6 @@ def make_hyperbolic_problem(prob: HyperbolicFitProblem, r: int) -> Problem:
         manifold=FixedRankManifold(prob.n + 1, prob.m, r + 1),
         constraint=HyperboloidConstraint(prob.n, prob.m),
         f=lambda X: hyperbolic_objective(prob, X),
-        grad_f=lambda X: hyperbolic_grad(prob, X),
         value_and_grad=lambda X: hyperbolic_value_and_grad(prob, X),
     )
 
@@ -592,7 +589,6 @@ def make_modes_problem(prob: CompressedModesProblem) -> Problem:
         manifold=SparsityManifold(prob.n, prob.p, prob.s),
         constraint=StiefelConstraint(prob.n, prob.p),
         f=lambda X: modes_objective(prob, X),
-        grad_f=lambda X: modes_grad(prob, X),
         extra_metric=sparsity_ratio,
         value_and_grad=lambda X: modes_value_and_grad(prob, X),
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from gotd import (
     make_sphere_problem,
     optimality_direction,
     read_trace_csv,
+    sphere_grad,
     tangent_intersection_project,
     write_trace_csv,
 )
@@ -277,6 +280,11 @@ class TestOptimalityDirection:
         )
         return prob, random_factored(rng, m, n, r)
 
+    def test_problem_without_a_gradient_rejected(self, rng):
+        prob, _ = self._problem(rng)
+        with pytest.raises(ValueError, match="value_and_grad or grad_f"):
+            Problem(prob.manifold, prob.constraint, prob.f)
+
     def test_zero_gradient(self, rng):
         prob, X = self._problem(rng)
         prob.grad_f = lambda X: np.zeros((6, 5))
@@ -364,9 +372,11 @@ class TestStepAndRun:
         # a projector that skips the projection hands the retraction a
         # non-tangent step: the run ends ABORTED, not with a traceback
         data = gen_sphere_data(20, 18, 2, 1.5, 3)
-        prob = make_sphere_problem(data)
         # the fused gradient is tangent already; the sparse one is not
-        prob.value_and_grad = None
+        prob = dataclasses.replace(
+            make_sphere_problem(data), value_and_grad=None,
+            grad_f=lambda X: sphere_grad(data, X),
+        )
         monkeypatch.setattr(
             algorithm, "tangent_intersection_project",
             lambda manifold, constraint, point, xi, gram=None: xi,

@@ -150,6 +150,14 @@ class TestRuns:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_rank_out_of_range_exit_code(self, tmp_path, capsys):
+        code = main(["sphere", "--m", "5", "--n", "100", "--r", "6", "--os", "0.01",
+                     "--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rank r=6") and captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["sphere", "--m", "10"]) == 1
         assert "usage error" in capsys.readouterr().err

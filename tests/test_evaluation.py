@@ -1,12 +1,15 @@
 """One evaluation per point.
 
 Each problem's ``value_and_grad`` returns the objective and a gradient
-whose tangent projection is that of ``grad_f``; the modes Hamiltonian is
-applied as a 3-point stencil; ``gotd_run`` and ``gotd_step`` evaluate a
-point the same way, and factor the Gram operator Dh Dh* once per iterate.
-Every fused quantity is compared with the separate evaluations, and the
-modes route with the dense Hamiltonian of ``oracles.dense_modes_problem``.
+whose tangent projection is that of the module's ``*_grad``; the modes
+Hamiltonian is applied as a 3-point stencil; ``gotd_run``, ``gotd_step``
+and ``optimality_direction`` read the gradient from ``value_and_grad``,
+and the run factors the Gram operator Dh Dh* once per iterate.  Every
+fused quantity is compared with the separate evaluations, and the modes
+route with the dense Hamiltonian of ``oracles.dense_modes_problem``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from gotd import (
     DomainViolation,
     FactoredPoint,
+    FixedRankTangent,
     GotdConfig,
     RunStatus,
     SupportPoint,
@@ -24,13 +28,21 @@ from gotd import (
     gen_sphere_data,
     gotd_run,
     gotd_step,
+    hyperbolic_grad,
+    hyperbolic_objective,
     init_hyperbolic,
     init_modes,
     init_sphere,
     make_hyperbolic_problem,
     make_modes_problem,
     make_sphere_problem,
+    modes_grad,
+    modes_objective,
+    optimality_direction,
+    sphere_grad,
+    sphere_objective,
 )
+from gotd import algorithm, problems
 from oracles import (
     dense_modes_problem,
     feasible_hyperboloid_lowrank,
@@ -46,16 +58,16 @@ def _assert_close(a, b, rtol=1e-13):
     assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
 
 
-def _assert_fused_matches(problem, point):
-    """value_and_grad(point) against (f, P_T grad_f), or (f, grad_f) for
-    an array."""
-    f_val, grad = problem.value_and_grad(point)
-    assert f_val == pytest.approx(problem.f(point), rel=1e-13, abs=0.0)
-    ref = problem.grad_f(point)
+def _assert_fused_matches(problem, point, objective, grad):
+    """value_and_grad(point) against the separate definitions: (objective,
+    P_T grad), or (objective, grad) for an array."""
+    f_val, fused = problem.value_and_grad(point)
+    assert f_val == pytest.approx(objective(point), rel=1e-13, abs=0.0)
+    ref = grad(point)
     if not isinstance(point, np.ndarray):
-        grad = problem.manifold.tangent_project(point, grad)
+        fused = problem.manifold.tangent_project(point, fused)
         ref = problem.manifold.tangent_project(point, ref)
-    _assert_close(grad, ref)
+    _assert_close(fused, ref)
 
 
 class TestFusedEvaluation:
@@ -63,9 +75,10 @@ class TestFusedEvaluation:
     def test_sphere(self, m, n, r, seed):
         rng = np.random.default_rng(seed)
         data = gen_sphere_data(m, n, r, 0.5, seed)
-        problem = make_sphere_problem(data)
-        _assert_fused_matches(problem, random_factored(rng, m, n, r))
-        _assert_fused_matches(problem, rng.standard_normal((m, n)))
+        _assert_fused_matches(
+            make_sphere_problem(data), random_factored(rng, m, n, r),
+            lambda X: sphere_objective(data, X), lambda X: sphere_grad(data, X),
+        )
 
     @given(st.integers(3, 10), st.integers(4, 15), st.integers(1, 3), seeds)
     def test_hyperbolic(self, n, m, r, seed):
@@ -73,16 +86,19 @@ class TestFusedEvaluation:
         data = gen_hyperbolic_data(n, m, r, seed)
         problem = make_hyperbolic_problem(data, r)
         for point in (init_hyperbolic(data, r), feasible_hyperboloid_lowrank(rng, n, m, r + 1)):
-            _assert_fused_matches(problem, point)
-            _assert_fused_matches(problem, point.dense())
+            _assert_fused_matches(
+                problem, point, lambda X: hyperbolic_objective(data, X),
+                lambda X: hyperbolic_grad(data, X),
+            )
 
     @given(st.integers(2, 40), st.integers(1, 5), seeds)
     def test_modes(self, n, p, seed):
         rng = np.random.default_rng(seed)
         data = gen_modes_problem(n, p, 50.0, 0.6)
         problem = make_modes_problem(data)
-        _assert_fused_matches(problem, random_support_point(rng, n, p, data.s))
-        _assert_fused_matches(problem, rng.standard_normal((n, p)))
+        refs = (lambda X: modes_objective(data, X), lambda X: modes_grad(data, X))
+        _assert_fused_matches(problem, random_support_point(rng, n, p, data.s), *refs)
+        _assert_fused_matches(problem, rng.standard_normal((n, p)), *refs)
 
     def test_hyperbolic_point_off_the_sheet_raises(self):
         data = gen_hyperbolic_data(8, 12, 2, 0)
@@ -122,6 +138,10 @@ def _pairs():
 def _arrays(point):
     if isinstance(point, SupportPoint):
         return [point.values, point.support]
+    if isinstance(point, FixedRankTangent):
+        return [point.M, point.Up, point.Vp]
+    if isinstance(point, np.ndarray):
+        return [point]
     return [point.u, point.sigma, point.v]
 
 
@@ -135,6 +155,35 @@ class TestOneEvaluationPerIterate:
         for a, b in zip(_arrays(point), _arrays(res.point)):
             assert np.array_equal(a, b)
         assert (gh, gf) == (res.trace[0].gh_norm, res.trace[0].gf_norm)
+
+    @pytest.mark.parametrize("pair", ["sphere", "hyperbolic", "modes"])
+    def test_optimality_direction_reads_value_and_grad(self, pair, monkeypatch):
+        # G_f at a point on its own is the G_f of the run's evaluation, and
+        # no route through the separate gradients is taken
+        def separate_gradient(prob, X):
+            raise AssertionError("the separate gradient was called")
+
+        for name in ("sphere_grad", "hyperbolic_grad", "modes_grad"):
+            monkeypatch.setattr(problems, name, separate_gradient)
+        problem, x0, alpha, beta = _pairs()[pair]
+        point = gotd_run(problem, x0, GotdConfig(alpha=alpha, beta=beta, max_iter=3, tol=0.0)).point
+        gf = optimality_direction(problem, point)
+        ref = algorithm._evaluate(problem, point)[3]
+        assert type(gf) is type(ref)
+        for a, b in zip(_arrays(gf), _arrays(ref), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_hyperbolic_optimality_direction_stays_factored(self):
+        # the dense gradient would be an (n+1) x m array, the size of the data
+        data = gen_hyperbolic_data(200, 3000, 3, 0)
+        problem, x0 = make_hyperbolic_problem(data, 3), init_hyperbolic(data, 3)
+        tracemalloc.start()
+        try:
+            optimality_direction(problem, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.targets.nbytes / 2
 
     def test_modes_factors_the_gram_once_per_iterate(self, monkeypatch):
         calls = []

@@ -7,6 +7,7 @@ from gotd import (
     DomainViolation,
     FixedRankManifold,
     InfeasibleSampling,
+    ShapeMismatch,
     gen_hyperbolic_data,
     gen_modes_problem,
     gen_sphere_data,
@@ -58,6 +59,11 @@ class TestSphereData:
         # round(0.01 * 1 * (5 + 4 - 1)) = 0 entries: no objective, no test error
         with pytest.raises(InfeasibleSampling, match="empty sample"):
             gen_sphere_data(5, 4, 1, 0.01, 0)
+
+    @pytest.mark.parametrize("m, n, r", [(5, 100, 6), (100, 5, 6), (5, 100, 0)])
+    def test_rank_out_of_range(self, m, n, r):
+        with pytest.raises(ShapeMismatch, match=f"rank r={r}"):
+            gen_sphere_data(m, n, r, 0.01, 0)
 
     def test_target_rank(self):
         data = gen_sphere_data(40, 30, 3, 2.0, 0)
