@@ -60,7 +60,6 @@ from .problems import (
     gen_sphere_data,
     hyperbolic_grad,
     hyperbolic_objective,
-    hyperbolic_value_and_grad,
     init_hyperbolic,
     init_modes,
     init_sphere,
@@ -69,13 +68,11 @@ from .problems import (
     make_sphere_problem,
     modes_grad,
     modes_objective,
-    modes_value_and_grad,
     sparsity_ratio,
     sphere_grad,
     sphere_objective,
     sphere_test_error,
-    sphere_value_and_grad,
 )
-from .solvers import pcg, truncated_svd
+from .solvers import pcg
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Three instances share one contract -- ``value``, ``dh`` (differential),
 ``dh_adjoint``, ``gram_solver`` (the inverse of Dh Dh*, factored once at a
 point and returned as a callable), ``gram_solve`` (one such solve) and
-``project`` (metric projection onto H):
+``project`` (metric projection onto H), each checking its operands against
+the constraint's ``shape``:
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -13,7 +14,8 @@ point and returned as a callable), ``gram_solve`` (one such solve) and
 The oblique and hyperboloid values and multipliers are vectors in R^q;
 the Stiefel value X^T X - I and its multipliers are p x p matrices, and
 the adjoint identities hold under the Frobenius inner product.  Either way
-q is the dimension of the multiplier space.
+q is the dimension of the multiplier space.  The oblique and hyperboloid
+Dh Dh* are diagonal and share one solve.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
@@ -34,6 +36,21 @@ SECULAR_MAX_ITER = 100
 BRACKET_WIDTH = 0.5 * np.finfo(float).eps
 
 
+def _check_shape(constraint, X, Z=None):
+    """X must have the constraint's ``shape``, and a direction Z that of X."""
+    if X.shape != constraint.shape:
+        raise ShapeMismatch(f"expected shape {constraint.shape}")
+    if Z is not None and Z.shape != X.shape:
+        raise ShapeMismatch("direction shape differs from point shape")
+
+
+def _diagonal_solver(g: np.ndarray, part: str):
+    """The solve by a diagonal Dh Dh* = Diag(g), guarded against a zero g_i."""
+    if g.min() <= COND_RTOL * g.max():
+        raise IllConditioned(f"a {part} of X is (numerically) zero")
+    return lambda b: b / g
+
+
 def _row_sq_norms(X) -> np.ndarray:
     """Squared row norms; from U Sigma alone for a fixed-rank point."""
     A = X.u * X.sigma if isinstance(X, FactoredPoint) else as_dense(X)
@@ -47,26 +64,21 @@ class ObliqueConstraint:
         self.m = m
         self.n = n
         self.q = m
-
-    def _check(self, X, Z=None):
-        if X.shape != (self.m, self.n):
-            raise ShapeMismatch(f"expected shape {(self.m, self.n)}")
-        if Z is not None and Z.shape != X.shape:
-            raise ShapeMismatch("direction shape differs from point shape")
+        self.shape = (m, n)
 
     def value(self, X) -> np.ndarray:
-        self._check(X)
+        _check_shape(self, X)
         return _row_sq_norms(X) - 1.0
 
     def dh(self, X, Z) -> np.ndarray:
-        self._check(X, Z)
+        _check_shape(self, X, Z)
         if isinstance(X, FactoredPoint):
             # row i of X is (U Sigma)_i V^T, so <X_i, Z_i> = (U Sigma)_i . (Z V)_i
             return 2.0 * np.einsum("ij,ij->i", X.u * X.sigma, Z @ X.v)
         return 2.0 * np.einsum("ij,ij->i", as_dense(X), as_dense(Z))
 
     def dh_adjoint(self, X, lam: np.ndarray):
-        self._check(X)
+        _check_shape(self, X)
         if lam.shape != (self.q,):
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
         if isinstance(X, FactoredPoint):
@@ -78,17 +90,14 @@ class ObliqueConstraint:
 
     def gram_solver(self, X):
         """Dh Dh* is diagonal with entries 4 ||row_i||^2."""
-        self._check(X)
-        g = 4.0 * _row_sq_norms(X)
-        if g.min() <= COND_RTOL * g.max():
-            raise IllConditioned("a row of X is (numerically) zero")
-        return lambda b: b / g
+        _check_shape(self, X)
+        return _diagonal_solver(4.0 * _row_sq_norms(X), "row")
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
-        self._check(Y)
+        _check_shape(self, Y)
         norms = np.linalg.norm(Y, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DegenerateProjection("cannot normalize a zero row")
@@ -107,22 +116,17 @@ class HyperboloidConstraint:
         self.n = n
         self.m = m
         self.q = m
+        self.shape = (n + 1, m)
         j = np.ones(n + 1)
         j[0] = -1.0
         self.j_diag = j
-
-    def _check(self, X, Z=None):
-        if X.shape != (self.n + 1, self.m):
-            raise ShapeMismatch(f"expected shape {(self.n + 1, self.m)}")
-        if Z is not None and Z.shape != X.shape:
-            raise ShapeMismatch("direction shape differs from point shape")
 
     def _ja(self, X: FactoredPoint) -> np.ndarray:
         """J U Sigma: column j of J X is (J U Sigma) v_j with v_j row j of V."""
         return self.j_diag[:, None] * (X.u * X.sigma)
 
     def value(self, X) -> np.ndarray:
-        self._check(X)
+        _check_shape(self, X)
         if isinstance(X, FactoredPoint):
             # x_j^T J x_j = v_j^T (A^T J A) v_j with A = U Sigma
             A = X.u * X.sigma
@@ -131,14 +135,14 @@ class HyperboloidConstraint:
         return np.einsum("ij,ij->j", X, self.j_diag[:, None] * X) + 1.0
 
     def dh(self, X, Z) -> np.ndarray:
-        self._check(X, Z)
+        _check_shape(self, X, Z)
         if isinstance(X, FactoredPoint):
             # (J x_j)^T z_j = v_j^T (Z^T J A)_j; Z needs only Z.T @ (J A)
             return 2.0 * np.einsum("ij,ij->i", Z.T @ self._ja(X), X.v)
         return 2.0 * np.einsum("ij,ij->j", self.j_diag[:, None] * as_dense(X), as_dense(Z))
 
     def dh_adjoint(self, X, lam: np.ndarray):
-        self._check(X)
+        _check_shape(self, X)
         if lam.shape != (self.q,):
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
         if isinstance(X, FactoredPoint):
@@ -149,16 +153,13 @@ class HyperboloidConstraint:
     def gram_solver(self, X):
         """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I);
         ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
-        self._check(X)
+        _check_shape(self, X)
         if isinstance(X, FactoredPoint):
-            SV = X.v * X.sigma
-            g = 4.0 * np.einsum("ij,ij->i", SV, SV)
+            g = _row_sq_norms(X.v * X.sigma)
         else:
             X = as_dense(X)
-            g = 4.0 * np.einsum("ij,ij->j", X, X)
-        if g.min() <= COND_RTOL * g.max():
-            raise IllConditioned("a column of X is (numerically) zero")
-        return lambda b: b / g
+            g = np.einsum("ij,ij->j", X, X)
+        return _diagonal_solver(4.0 * g, "column")
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
@@ -183,7 +184,7 @@ class HyperboloidConstraint:
         nearest point) and for a root unconverged after SECULAR_MAX_ITER
         steps.
         """
-        self._check(Y)
+        _check_shape(self, Y)
         y0 = np.abs(Y[0])
         c2 = np.einsum("ij,ij->j", Y[1:], Y[1:])
         if np.any(y0 == 0.0):
@@ -237,27 +238,22 @@ class StiefelConstraint:
         self.n = n
         self.p = p
         self.q = p * (p + 1) // 2
-
-    def _check(self, X, Z=None):
-        if X.shape != (self.n, self.p):
-            raise ShapeMismatch(f"expected shape {(self.n, self.p)}")
-        if Z is not None and Z.shape != X.shape:
-            raise ShapeMismatch("direction shape differs from point shape")
+        self.shape = (n, p)
 
     def value(self, X) -> np.ndarray:
-        self._check(X)
+        _check_shape(self, X)
         X = as_dense(X)
         return X.T @ X - np.eye(self.p)
 
     def dh(self, X, Z) -> np.ndarray:
-        self._check(X, Z)
+        _check_shape(self, X, Z)
         XtZ = as_dense(X).T @ as_dense(Z)
         return XtZ + XtZ.T
 
     def dh_adjoint(self, X, lam: np.ndarray) -> np.ndarray:
         """X (lam + lam^T), the adjoint of dh on all p x p matrices; 2 X lam
         for the symmetric multipliers the solvers produce."""
-        self._check(X)
+        _check_shape(self, X)
         if lam.shape != (self.p, self.p):
             raise ShapeMismatch(f"expected a {self.p} x {self.p} multiplier")
         return as_dense(X) @ (lam + lam.T)
@@ -265,7 +261,7 @@ class StiefelConstraint:
     def gram_solver(self, X):
         """Invert L -> 2 (G L + L G) on Sym(p) with G = X^T X, whose
         eigendecomposition is taken once here."""
-        self._check(X)
+        _check_shape(self, X)
         X = as_dense(X)
         sylvester = sym_sylvester_solver(X.T @ X)
         return lambda b: sylvester(b / 2.0)
@@ -275,7 +271,7 @@ class StiefelConstraint:
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Polar factor of Y: the closest matrix with orthonormal columns."""
-        self._check(Y)
+        _check_shape(self, Y)
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
         if s[-1] <= COND_RTOL * s[0] or s[0] == 0.0:
             raise DegenerateProjection(

@@ -62,10 +62,6 @@ class FactoredPoint:
     def dense(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """X[rows, cols] from the factors, at O(len(rows) r)."""
-        return product_entries(self.u * self.sigma, self.v, rows, cols)
-
 
 def product_entries(A: np.ndarray, B: np.ndarray, rows, cols) -> np.ndarray:
     """(A B^T)[rows, cols] for A (m, k) and B (n, k), at O(len(rows) k).
@@ -353,8 +349,9 @@ class FixedRankManifold:
 
         A :class:`FixedRankTangent` at X goes straight into the core; its
         gauge conditions are checked to 1e-8 relative at O((m + n) r^2).
-        Any other eta is decomposed densely and must be tangent at X to
-        1e-8 relative.  The core needs only the r x r Gram matrices of Up
+        Any other eta is decomposed by :meth:`FixedRankTangent.from_products`
+        from eta V and eta^T U, and must lie within 1e-8 relative of that
+        decomposition.  The core needs only the r x r Gram matrices of Up
         and Vp, their square roots Ru and Rv, and one SVD of the 2r x 2r
         matrix [[Sigma + M, Rv^T], [Ru, 0]], whose singular values are
         exactly those of X + eta, so the result agrees with the dense
@@ -372,19 +369,13 @@ class FixedRankManifold:
         U, s, V = X.u, X.sigma, X.v
         r = self.r
         if isinstance(eta, FixedRankTangent) and eta.at(X):
-            M, Up, Vp = eta.M, eta.Up, eta.Vp
-            norm_eta = eta.norm()
-            defect = float(np.hypot(np.linalg.norm(U.T @ Up), np.linalg.norm(V.T @ Vp)))
+            tangent, norm_eta = eta, eta.norm()
+            defect = float(np.hypot(np.linalg.norm(U.T @ eta.Up), np.linalg.norm(V.T @ eta.Vp)))
         else:
             eta = as_dense(eta)
-            M = U.T @ eta @ V
-            Up = eta @ V - U @ M
-            Vp = eta.T @ U - V @ M.T
+            tangent = FixedRankTangent.from_products(X, eta @ V, eta.T @ U)
             norm_eta = float(np.linalg.norm(eta))
-            defect = 0.0
-            if norm_eta > 0.0:
-                tang = U @ (M @ V.T) + Up @ V.T + U @ Vp.T
-                defect = float(np.linalg.norm(eta - tang))
+            defect = float(np.linalg.norm(eta - tangent.dense())) if norm_eta > 0.0 else 0.0
         # the absolute floor tolerates rounding residue in small
         # differences of large tangent vectors near convergence
         if defect > TANGENT_CHECK_RTOL * norm_eta + 1e-12 * float(s[0]):
@@ -392,6 +383,7 @@ class FixedRankManifold:
                 f"eta is not tangent: relative defect {defect / norm_eta:.3e}"
             )
 
+        M, Up, Vp = tangent.M, tangent.Up, tangent.Vp
         # X + eta = [U Up] [[Sigma + M, I], [I, 0]] [V Vp]^T
         K = np.zeros((2 * r, 2 * r))
         K[:r, :r] = np.diag(s) + M

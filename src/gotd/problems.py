@@ -47,9 +47,8 @@ class SparsePattern:
 
     Products of a :class:`CooMatrix` on the pattern are then segment sums
     (``np.add.reduceat``) over contiguous runs, taken block by block and
-    several times faster in numpy than scattering with ``np.bincount``.
-    :meth:`residual_products` fuses the sampling of a factored matrix with
-    the product by rows.
+    several times faster in numpy than scattering with ``np.bincount``;
+    :func:`sphere_value_and_grad` runs its fused pass over the row blocks.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple):
@@ -59,26 +58,6 @@ class SparsePattern:
         m, n = self.shape
         self.by_row = _Runs(rows, cols, m, n)
         self.by_col = _Runs(cols, rows, n, m)
-
-    def residual_products(self, A, B, target, W) -> tuple:
-        """The residual R = (A B^T)[rows, cols] - target, and R B and
-        R^T W of the matrix with the values R on the pattern.
-
-        One pass over the row blocks gathers B^T once per block for both
-        the entries and R B; R^T W is the :class:`CooMatrix` product by
-        columns.  The entries are bit-equal to
-        :func:`~gotd.manifolds.product_entries`, and R B to the
-        :class:`CooMatrix` product by rows.
-        """
-        At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-        resid = np.empty(len(self.rows))
-        RB = np.zeros((Bt.shape[0], self.shape[0]))
-        for idx, runs, starts, x, Bb in self.by_row.blocks_of(At, Bt):
-            x -= target[idx]
-            resid[idx] = x
-            Bb *= x
-            RB[:, runs] = np.add.reduceat(Bb, starts, axis=1)
-        return resid, RB.T, self.by_col.product(resid, W)
 
 
 class _Runs:
@@ -141,16 +120,16 @@ class _Runs:
             out[:, runs] = np.add.reduceat(Wb, starts, axis=1)
         return out.T
 
-    def blocks_of(self, At: np.ndarray, Bt: np.ndarray):
+    def blocks_of(self, A: np.ndarray, B: np.ndarray):
         """Per block: its ``idx``, ``runs`` and ``starts``, the entries x
         of A B^T there, and B^T gathered at their inner indices (k x
         block, writable).
 
-        A is indexed by the outer and B by the inner index, and At, Bt
-        are their contiguous transposes.  x is the running sum over k of
-        A[i, k] B[l, k], bit-equal to
+        A is indexed by the outer and B by the inner index.  x is the
+        running sum over k of A[i, k] B[l, k], bit-equal to
         :func:`~gotd.manifolds.product_entries`.
         """
+        At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
         for idx, inner, runs, counts, starts in self.blocks:
             Bb = Bt.take(inner, axis=1)
             AB = np.repeat(At[:, runs], counts, axis=1)
@@ -163,8 +142,7 @@ class _Runs:
     def entries(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """(A B^T) at the entries, in input order (see :meth:`blocks_of`)."""
         out = np.empty(self.inner.size)
-        At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-        for idx, _, _, x, _ in self.blocks_of(At, Bt):
+        for idx, _, _, x, _ in self.blocks_of(A, B):
             out[idx] = x
         return out
 
@@ -174,6 +152,8 @@ class CooMatrix:
     """Matrix with the values ``vals`` at the positions of ``pattern`` and
     zeros elsewhere (``transposed`` swaps the roles of rows and columns).
 
+    :func:`sphere_grad` returns it at a fixed-rank point; the run takes
+    the projection from :func:`sphere_value_and_grad` and builds none.
     It supports what a fixed-rank tangent projection needs of an ambient
     operand, ``G @ W`` and ``G.T @ W``, at O(len(vals) k);
     ``np.asarray`` gives the dense matrix.
@@ -294,14 +274,18 @@ def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> S
     return SphereFitProblem(left, V, omega, gamma, m, n, r, oversampling, seed)
 
 
-def _residual(prob: SphereFitProblem, X) -> np.ndarray:
-    """X[Omega] - target[Omega], with X read from the factors of a
-    fixed-rank point."""
+def _sample_error(X, runs: _Runs, sample: tuple, target: np.ndarray) -> np.ndarray:
+    """X[sample] - target, with X read from the factors of a fixed-rank
+    point by the row runs of the sample."""
     if isinstance(X, FactoredPoint):
-        sampled = prob.omega_pattern.by_row.entries(X.u * X.sigma, X.v)
+        sampled = runs.entries(X.u * X.sigma, X.v)
     else:
-        sampled = as_dense(X)[prob.omega]
-    return sampled - prob.target_omega
+        sampled = as_dense(X)[sample]
+    return sampled - target
+
+
+def _residual(prob: SphereFitProblem, X) -> np.ndarray:
+    return _sample_error(X, prob.omega_pattern.by_row, prob.omega, prob.target_omega)
 
 
 def _half_square(resid: np.ndarray) -> float:
@@ -328,24 +312,27 @@ def sphere_value_and_grad(prob: SphereFitProblem, X: FactoredPoint):
     one pass over Omega (:func:`sphere_grad` is the dense definition).
 
     The gradient G (the residual on Omega) enters the step only through
-    its tangent projection, which needs G V and G^T U;
-    :meth:`SparsePattern.residual_products` gives them with the residual,
-    and the projection is returned as a :class:`FixedRankTangent`.
+    its tangent projection, which needs G V and G^T U.  One pass over the
+    row blocks gathers V^T once per block for the residual and G V (both
+    bit-equal to unblocked gathers), G^T U is the :class:`CooMatrix`
+    product by columns, and the projection is a :class:`FixedRankTangent`.
     """
-    resid, GV, GtU = prob.omega_pattern.residual_products(
-        X.u * X.sigma, X.v, prob.target_omega, X.u
-    )
-    return _half_square(resid), FixedRankTangent.from_products(X, GV, GtU)
+    pattern = prob.omega_pattern
+    resid = np.empty(len(pattern.rows))
+    GV = np.zeros((X.rank, prob.m))
+    for idx, runs, starts, x, Vb in pattern.by_row.blocks_of(X.u * X.sigma, X.v):
+        x -= prob.target_omega[idx]
+        resid[idx] = x
+        Vb *= x
+        GV[:, runs] = np.add.reduceat(Vb, starts, axis=1)
+    GtU = pattern.by_col.product(resid, X.u)
+    return _half_square(resid), FixedRankTangent.from_products(X, GV.T, GtU)
 
 
 def sphere_test_error(prob: SphereFitProblem, X) -> float:
     """Relative error on the held-out entries."""
-    if isinstance(X, FactoredPoint):
-        sampled = prob.gamma_rows.entries(X.u * X.sigma, X.v)
-    else:
-        sampled = as_dense(X)[prob.gamma]
-    num = np.linalg.norm(sampled - prob.target_gamma)
-    return float(num / prob.target_gamma_norm)
+    err = _sample_error(X, prob.gamma_rows, prob.gamma, prob.target_gamma)
+    return float(np.linalg.norm(err) / prob.target_gamma_norm)
 
 
 def init_sphere(prob: SphereFitProblem, seed: int) -> FactoredPoint:
@@ -398,6 +385,8 @@ def gen_hyperbolic_data(
     matrix rank r_true + 1; a positive tail makes the data full rank so
     that a rank-(r+1) approximation is a genuine compression task.
     """
+    if not 1 <= r_true <= n:
+        raise ShapeMismatch(f"rank r_true={r_true} is outside 1..n for n={n}")
     rng = np.random.default_rng(seed)
     Z = 0.5 * rng.standard_normal((r_true, m))
     W = np.linalg.qr(rng.standard_normal((n, r_true)))[0]
@@ -450,13 +439,6 @@ def _gradient_weights(u: np.ndarray) -> np.ndarray:
     return -2.0 * g
 
 
-def _weighted_targets(prob: HyperbolicFitProblem, w: np.ndarray) -> np.ndarray:
-    """J T Diag(w), with J applied last as a sign flip of row 0."""
-    out = prob.targets * w[None, :]
-    out[0] = -out[0]
-    return out
-
-
 def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
     """Sum of squared hyperbolic distances to the target columns."""
     u = _lorentz_gaps(prob, X)
@@ -466,7 +448,9 @@ def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
 def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     """Column i is -2 g(u_i) J target_i with g(u) = arccosh(u)/sqrt(u^2-1),
     continued by its series value 1 - (u - 1)/3 near u = 1."""
-    return _weighted_targets(prob, _gradient_weights(_lorentz_gaps(prob, X)))
+    out = prob.targets * _gradient_weights(_lorentz_gaps(prob, X))[None, :]
+    out[0] = -out[0]
+    return out
 
 
 def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X: FactoredPoint):
@@ -549,6 +533,8 @@ class CompressedModesProblem:
 def gen_modes_problem(n: int, p: int, length: float, rho: float) -> CompressedModesProblem:
     """Hamiltonian on [0, length] with n interior grid points; sparsity
     budget s = round(rho * n * p)."""
+    if not 1 <= p <= n:
+        raise ShapeMismatch(f"column count p={p} is outside 1..n for n={n}")
     s = round(rho * n * p)
     return CompressedModesProblem(n, p, length, rho, s, length**2 / (4.0 * n**2))
 

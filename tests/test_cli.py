@@ -158,6 +158,19 @@ class TestRuns:
         assert captured.out == ""
         assert captured.err.startswith("error: rank r=6") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["hyperbolic", "--n", "3", "--m", "10", "--r-true", "5", "--r", "2"],
+         "error: rank r_true=5"),
+        (["modes", "--n", "4", "--p", "6", "--L", "10", "--rho", "0.5"],
+         "error: column count p=6"),
+    ], ids=["hyperbolic", "modes"])
+    def test_generator_dimensions_exit_code(self, tmp_path, capsys, argv, message):
+        code = main(argv + ["--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["sphere", "--m", "10"]) == 1
         assert "usage error" in capsys.readouterr().err

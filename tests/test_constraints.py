@@ -69,6 +69,17 @@ class TestValues:
         with pytest.raises(ShapeMismatch):
             ObliqueConstraint(2, 2).value(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("kind", ALL_TYPES)
+    def test_every_map_checks_shapes(self, rng, kind):
+        C, X = make_instance(kind, rng)
+        wrong = np.zeros((X.shape[0] + 1, X.shape[1]))
+        lam = random_multiplier(C, rng)
+        for call in (lambda: C.value(wrong), lambda: C.dh(wrong, wrong),
+                     lambda: C.dh_adjoint(wrong, lam), lambda: C.gram_solver(wrong),
+                     lambda: C.dh(X, X[:, :-1])):
+            with pytest.raises(ShapeMismatch):
+                call()
+
 
 class TestDifferentials:
     @pytest.mark.parametrize("kind", ALL_TYPES)

@@ -93,6 +93,8 @@ class TestFusedEvaluation:
 
     @given(st.integers(2, 40), st.integers(1, 5), seeds)
     def test_modes(self, n, p, seed):
+        # the problem needs p <= n orthonormal columns
+        p = min(p, n)
         rng = np.random.default_rng(seed)
         data = gen_modes_problem(n, p, 50.0, 0.6)
         problem = make_modes_problem(data)
@@ -112,7 +114,8 @@ class TestFusedEvaluation:
 class TestHamiltonianStencil:
     @pytest.mark.parametrize("n", [1, 2, 3, 17])
     def test_matches_the_tridiagonal_matrix(self, rng, n):
-        data = gen_modes_problem(n, 3, 50.0, 0.6)
+        # the stencil does not depend on the problem's column count
+        data = gen_modes_problem(n, 1, 50.0, 0.6)
         h = 50.0 / (n + 1)
         H = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h * h)
         assert np.array_equal(data.hamiltonian, H)

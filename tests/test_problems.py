@@ -23,6 +23,7 @@ from gotd import (
     sphere_objective,
     sphere_test_error,
 )
+from gotd.manifolds import product_entries
 from oracles import dense_sphere_data, fd_gradient_check
 
 
@@ -175,7 +176,8 @@ class TestSphereObjective:
         data = gen_sphere_data(30, 25, 2, 2.0, 1)
         X = init_sphere(data, 4)
         Xd = X.dense()
-        assert np.allclose(X.entries(*data.omega), Xd[data.omega], rtol=0, atol=1e-15)
+        assert np.allclose(product_entries(X.u * X.sigma, X.v, *data.omega), Xd[data.omega],
+                           rtol=0, atol=1e-15)
         assert sphere_objective(data, X) == pytest.approx(sphere_objective(data, Xd), rel=1e-13)
         assert sphere_test_error(data, X) == pytest.approx(sphere_test_error(data, Xd), rel=1e-13)
         assert np.allclose(np.asarray(sphere_grad(data, X)), sphere_grad(data, Xd),
@@ -206,6 +208,14 @@ class TestHyperbolicData:
         a = gen_hyperbolic_data(12, 20, 3, 4)
         b = gen_hyperbolic_data(12, 20, 3, 4)
         assert np.array_equal(a.targets, b.targets)
+
+    @pytest.mark.parametrize("r_true", [5, 4, 0])
+    def test_rank_out_of_range(self, r_true):
+        with pytest.raises(ShapeMismatch, match=f"rank r_true={r_true}"):
+            gen_hyperbolic_data(3, 10, r_true, 0)
+
+    def test_full_rank_signal(self):
+        assert gen_hyperbolic_data(3, 10, 3, 0).targets.shape == (4, 10)
 
     def test_objective_zero_at_targets(self):
         # the clamp at u = 1 leaves arccosh residue of order sqrt(eps)
@@ -301,6 +311,11 @@ class TestModesProblem:
         assert np.allclose(prob.hamiltonian, prob.hamiltonian.T)
         assert prob.s == 2304
         assert prob.beta_default == pytest.approx(50.0**2 / (4 * 256**2))
+
+    @pytest.mark.parametrize("p", [6, 5, 0])
+    def test_column_count_out_of_range(self, p):
+        with pytest.raises(ShapeMismatch, match=f"column count p={p}"):
+            gen_modes_problem(4, p, 10.0, 0.5)
 
     def test_spectral_bound(self):
         prob = gen_modes_problem(64, 4, 50.0, 0.6)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gotd import IllConditioned, RankDeficient, pcg, truncated_svd
-from gotd.solvers import pinv_apply, sym_sylvester_solver
+from gotd import IllConditioned, RankDeficient, pcg
+from gotd.solvers import pinv_apply, sym_sylvester_solver, truncated_svd
 
 
 def dense_from_factors(U, s, V):
