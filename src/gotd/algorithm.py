@@ -68,9 +68,9 @@ class GotdConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.tol < 0:
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError("step sizes must be finite and positive")
+        if not self.tol >= 0.0:
             raise ValueError("tolerance must be nonnegative")
         if self.max_iter < 0 or self.trace_every < 1:
             raise ValueError("invalid iteration budget")
@@ -214,11 +214,13 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     Each iterate is evaluated once: ``value_and_grad`` (or ``grad_f`` and
     ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions.
     The trace records every ``trace_every``-th iterate plus the final
-    one; wall time is measured from the first iteration.  Any numerical
-    failure (rank collapse, singular Gram, degenerate retraction,
-    non-finite values, an extra metric that fails or is not finite)
-    aborts the run with the iterate index in the reason string; an extra
-    metric may return None, which the trace records as empty.
+    one; wall time is measured from the first iteration.  A non-finite
+    or huge value, a non-finite extra metric, and any ``GotdError`` or
+    ``np.linalg.LinAlgError`` raised inside the step (rank collapse,
+    singular Gram, degenerate retraction, ...) or by the extra metric
+    abort the run with the iterate index in the reason string; any other
+    exception propagates to the caller.  An extra metric may return
+    None, which the trace records as empty.
     """
     point = x0
     trace: list = []

@@ -3,8 +3,8 @@ fixed-cardinality (sparsity) set.
 
 Each manifold implements the same small contract: ``tangent_project``,
 ``retract`` and ``project`` (metric projection from the ambient space).
-Points carry their own structure -- a thin SVD triple for fixed rank, a
-value/support pair for sparsity -- and ``dense()`` recovers the ambient
+Points carry their own structure -- a thin SVD triple for fixed rank,
+the values alone for sparsity -- and ``dense()`` recovers the ambient
 matrix.  Fixed-rank tangent vectors stay factored as well
 (:class:`FixedRankTangent`), and so do low-rank ambient operands
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
@@ -206,10 +206,10 @@ class FixedRankTangent:
 class LowRankMatrix:
     """The matrix A B^T, stored as its factors A (m, k) and B (n, k).
 
-    Products, the transpose, scalar multiples and negation stay factored
-    and cost O((m + n) k) per column of the other operand; ``np.asarray``
-    gives the dense m x n matrix.  A fixed-rank tangent projection takes
-    it like any other operand, through ``Z @ V`` and ``Z.T @ U``.
+    The right product ``L @ W``, the transpose and negation stay factored
+    and cost O((m + n) k) per column of W; ``np.asarray`` gives the dense
+    m x n matrix.  A fixed-rank tangent projection takes it like any
+    other operand, through ``Z @ V`` and ``Z.T @ U``.
     """
 
     a: np.ndarray  # (m, k)
@@ -239,48 +239,34 @@ class LowRankMatrix:
     def __matmul__(self, W):
         return self.a @ (self.b.T @ W)
 
-    def __rmatmul__(self, W):
-        return (W @ self.a) @ self.b.T
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return LowRankMatrix(other * self.a, self.b)
-        return self.dense() * other
-
-    __rmul__ = __mul__
-
     def __neg__(self) -> "LowRankMatrix":
         return LowRankMatrix(-self.a, self.b)
 
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """Matrix with exactly s nonzeros, together with its support mask.
+    """Matrix with exactly s nonzeros, stored as its values alone.
 
-    The nonzeros of ``values`` are exactly the entries marked in
-    ``support``: a nonzero outside the support raises ShapeMismatch, a
-    zero inside it DegenerateStep (ShapeMismatch when both occur).  The
-    support size ``nnz`` and the float 0/1 ``mask`` that
-    :meth:`SparsityManifold.tangent_project` multiplies by are computed
-    once per point.
+    The support (the boolean mask ``values != 0``), its size ``nnz`` and
+    the read-only float 0/1 ``mask`` that
+    :meth:`SparsityManifold.tangent_project` multiplies by are derived
+    from ``values`` once per point.
     """
 
     values: np.ndarray
-    support: np.ndarray  # boolean mask, same shape as values
 
     def __post_init__(self):
-        if self.values.shape != self.support.shape:
-            raise ShapeMismatch("values and support shapes differ")
-        # one comparison validates; which check failed is worked out only
-        # on failure
-        if not np.array_equal(self.values != 0.0, self.support):
-            if np.any(self.values[~self.support] != 0.0):
-                raise ShapeMismatch("nonzero entry outside the support")
-            raise DegenerateStep("zero entry inside the support")
+        if self.values.ndim != 2:
+            raise ShapeMismatch("expected a matrix of values")
 
     @property
     def shape(self):
         return self.values.shape
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """The nonzero entries of ``values`` as a boolean mask."""
+        return self.values != 0.0
 
     @functools.cached_property
     def nnz(self) -> int:
@@ -464,4 +450,4 @@ class SparsityManifold:
         ties = np.flatnonzero(flat == t)
         mask[ties[: self.s - np.count_nonzero(mask)]] = True
         mask = mask.reshape(Y.shape)
-        return SupportPoint(np.where(mask, Y, 0.0), mask)
+        return SupportPoint(np.where(mask, Y, 0.0))

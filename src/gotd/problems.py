@@ -387,6 +387,8 @@ def gen_hyperbolic_data(
     """
     if not 1 <= r_true <= n:
         raise ShapeMismatch(f"rank r_true={r_true} is outside 1..n for n={n}")
+    if not 0.0 <= tail_scale < np.inf:
+        raise DomainViolation(f"tail scale {tail_scale} is not finite and nonnegative")
     rng = np.random.default_rng(seed)
     Z = 0.5 * rng.standard_normal((r_true, m))
     W = np.linalg.qr(rng.standard_normal((n, r_true)))[0]

@@ -72,8 +72,9 @@ def pcg(
     given as the callable ``A(v) = A v``, on arrays of any shape under the
     Frobenius inner product.
 
-    Stops when ||A x - b|| <= tol * ||b||.  On budget exhaustion the best
-    iterate seen (smallest residual) is returned with converged=False.
+    Stops when ||A x - b|| <= tol * ||b||.  When the budget runs out or
+    the curvature <p, A p> is not positive, the last iterate is returned
+    with converged=False.
     ``A`` and ``precond`` must not modify their argument: no vector is
     updated in place here, so none is copied.
     """
@@ -87,28 +88,21 @@ def pcg(
     z = precond(r) if precond is not None else r
     p = z
     rz = float(np.vdot(r, z))
-    best_x = x
-    best_res = nb
     for it in range(1, max_iter + 1):
         Ap = A(p)
         pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
-            # numerically lost positive definiteness; stop with best iterate
-            return PcgResult(best_x, it, False)
+            return PcgResult(x, it, False)
         step = rz / pAp
         x = x + step * p
         r = r - step * Ap
-        res = math.sqrt(np.vdot(r, r))
-        if res < best_res:
-            best_res = res
-            best_x = x
-        if res <= tol * nb:
+        if math.sqrt(np.vdot(r, r)) <= tol * nb:
             return PcgResult(x, it, True)
         z = precond(r) if precond is not None else r
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return PcgResult(best_x, max_iter, False)
+    return PcgResult(x, max_iter, False)
 
 
 def sym_sylvester_solver(G: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -232,7 +232,7 @@ class TestTangentIntersectionProject:
         support[[0, 1, 2], 0] = True
         support[[3, 4, 5], 1] = True
         support[[0, 3, 4], 2] = True
-        X = SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0), support)
+        X = SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0))
         man = SparsityManifold(6, 3, 9)
         C = StiefelConstraint(6, 3)
         eig = np.linalg.eigvalsh(reduced_gram_matrix(man, C, X))
@@ -321,6 +321,15 @@ class TestStepAndRun:
             grad_f=lambda Xd: np.zeros((6, 5)),
         )
         return prob, X
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", np.nan), ("alpha", np.inf), ("alpha", 0.0),
+        ("beta", np.nan), ("beta", np.inf), ("beta", -1.0),
+        ("tol", np.nan), ("tol", -1e-12),
+    ])
+    def test_config_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            GotdConfig(**{field: value})
 
     def test_step_at_stationary_point(self, rng):
         prob, X = self._stationary_problem(rng)

@@ -171,6 +171,24 @@ class TestRuns:
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "nan"), ("--beta", "inf"), ("--tol", "nan"),
+    ])
+    def test_non_finite_run_parameter_exit_code(self, tmp_path, capsys, flag, value):
+        code = main(["sphere", "--m", "40", "--n", "50", "--r", "3", "--os", "3",
+                     "--max-iter", "5", flag, value, "--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("tail", ["-5", "nan"])
+    def test_invalid_tail_exit_code(self, tmp_path, capsys, tail):
+        code = main(["hyperbolic", "--n", "10", "--m", "40", "--r-true", "2", "--r", "2",
+                     "--tail", tail, "--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tail scale") and captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["sphere", "--m", "10"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -162,21 +162,15 @@ class TestFixedRankProject:
 
 
 class TestSupportPoint:
-    def test_nonzero_outside_support(self):
-        with pytest.raises(ShapeMismatch, match="outside the support"):
-            SupportPoint(np.array([[1.0, 2.0]]), np.array([[True, False]]))
+    def test_support_derived_from_values(self):
+        X = SupportPoint(np.array([[1.0, 0.0], [-2.0, 0.0]]))
+        assert np.array_equal(X.support, [[True, False], [True, False]])
+        assert X.nnz == 2 and X.support is X.support
+        assert np.array_equal(X.mask, [[1.0, 0.0], [1.0, 0.0]])
 
-    def test_zero_inside_support(self):
-        with pytest.raises(DegenerateStep, match="inside the support"):
-            SupportPoint(np.array([[1.0, 0.0]]), np.array([[True, True]]))
-
-    def test_both_faults_raise_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch, match="outside the support"):
-            SupportPoint(np.array([[0.0, 2.0]]), np.array([[True, False]]))
-
-    def test_shapes_differ(self):
-        with pytest.raises(ShapeMismatch, match="shapes differ"):
-            SupportPoint(np.array([[1.0, 0.0]]), np.array([True, False]))
+    def test_values_not_a_matrix(self):
+        with pytest.raises(ShapeMismatch, match="matrix"):
+            SupportPoint(np.array([1.0, 0.0]))
 
     def test_mask_is_read_only_support(self, rng):
         X = random_support_point(rng, 5, 4, 6)
@@ -194,15 +188,14 @@ class TestSparsity:
             data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
         ).reshape(m, n)
         assume(support.any())
-        X = SupportPoint(np.where(support, 1.5, 0.0), support)
+        X = SupportPoint(np.where(support, 1.5, 0.0))
         Z = data.draw(arrays(float, (m, n), elements=st.floats(allow_nan=False, allow_infinity=False)))
         out = SparsityManifold(m, n, int(support.sum())).tangent_project(X, Z)
         assert np.array_equal(out, np.where(support, Z, 0.0))
 
     def test_tangent_project_masks(self, rng):
         man = SparsityManifold(3, 1, 1)
-        X = SupportPoint(np.array([[3.0], [0.0], [0.0]]),
-                         np.array([[True], [False], [False]]))
+        X = SupportPoint(np.array([[3.0], [0.0], [0.0]]))
         Z = np.array([[1.0], [2.0], [3.0]])
         assert np.allclose(man.tangent_project(X, Z), [[1.0], [0.0], [0.0]])
 
@@ -225,8 +218,7 @@ class TestSparsity:
 
     def test_retract_examples(self, rng):
         man = SparsityManifold(1, 3, 1)
-        X = SupportPoint(np.array([[3.0, 0.0, 0.0]]),
-                         np.array([[True, False, False]]))
+        X = SupportPoint(np.array([[3.0, 0.0, 0.0]]))
         Y = man.retract(X, np.zeros((1, 3)))
         assert np.allclose(Y.values, X.values)
         Y = man.retract(X, np.array([[1.0, 0.0, 0.0]]))
@@ -234,8 +226,7 @@ class TestSparsity:
 
     def test_retract_top_magnitude(self):
         man = SparsityManifold(1, 3, 2)
-        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]),
-                         np.array([[True, True, False]]))
+        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
         eta = np.array([[0.0, 0.0, 0.5]])
         Y = man.retract(X, eta)
         assert np.allclose(Y.values, [[1.0, -2.0, 0.0]])
@@ -276,8 +267,7 @@ class TestSparsity:
 
     def test_degenerate_step(self):
         man = SparsityManifold(1, 3, 2)
-        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]),
-                         np.array([[True, True, False]]))
+        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
         with pytest.raises(DegenerateStep):
             man.retract(X, np.array([[-1.0, 2.0, 0.0]]))
 

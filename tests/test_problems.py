@@ -214,6 +214,11 @@ class TestHyperbolicData:
         with pytest.raises(ShapeMismatch, match=f"rank r_true={r_true}"):
             gen_hyperbolic_data(3, 10, r_true, 0)
 
+    @pytest.mark.parametrize("tail", [-5.0, np.nan, np.inf])
+    def test_tail_scale_rejected(self, tail):
+        with pytest.raises(DomainViolation, match="tail scale"):
+            gen_hyperbolic_data(3, 10, 2, 0, tail_scale=tail)
+
     def test_full_rank_signal(self):
         assert gen_hyperbolic_data(3, 10, 3, 0).targets.shape == (4, 10)
 
