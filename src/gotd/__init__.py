@@ -31,6 +31,7 @@ from .constraints import HyperboloidConstraint, ObliqueConstraint, StiefelConstr
 from .errors import (
     DegenerateProjection,
     DegenerateStep,
+    Diverged,
     DomainViolation,
     GotdError,
     IllConditioned,

@@ -15,13 +15,13 @@ other.
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GotdError, NotConverged
+from .errors import Diverged, GotdError
 from .manifolds import norm
 from .solvers import pcg
 # no caller here; perfbench/test_checks.py checks that its tracer wraps this name
@@ -72,6 +72,8 @@ class GotdConfig:
             raise ValueError("step sizes must be finite and positive")
         if not self.tol >= 0.0:
             raise ValueError("tolerance must be nonnegative")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.max_iter, self.trace_every)):
+            raise ValueError("iteration budgets must be integers")
         if self.max_iter < 0 or self.trace_every < 1:
             raise ValueError("invalid iteration budget")
 
@@ -141,8 +143,8 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     has it already).  B = Phi^T Phi may be singular (for instance at a
     sparsity point whose columns have disjoint supports), but the
     right-hand side Phi^T xi_bar lies in its range, CG from zero stays
-    there, and every solution gives the same Phi(lam).  Raises
-    NotConverged when CG misses ``PCG_TOL`` within its budget.
+    there, and every solution gives the same Phi(lam).  CG raises
+    NotConverged when it misses ``PCG_TOL`` within its budget.
     """
     xi_bar = manifold.tangent_project(point, xi)
     rhs = constraint.dh(point, xi_bar)
@@ -150,16 +152,12 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     def phi(lam):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
-    result = pcg(
+    lam = pcg(
         lambda lam: constraint.dh(point, phi(lam)), rhs,
         precond=constraint.gram_solver(point) if gram is None else gram,
         tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q,
-    )
-    if not result.converged:
-        raise NotConverged(
-            f"pcg stalled at {result.iters} iterations on the reduced system"
-        )
-    return xi_bar - phi(result.x)
+    ).x
+    return xi_bar - phi(lam)
 
 
 def _value_and_gradient(problem: Problem, point):
@@ -215,12 +213,12 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions.
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  A non-finite
-    or huge value, a non-finite extra metric, and any ``GotdError`` or
-    ``np.linalg.LinAlgError`` raised inside the step (rank collapse,
-    singular Gram, degenerate retraction, ...) or by the extra metric
-    abort the run with the iterate index in the reason string; any other
-    exception propagates to the caller.  An extra metric may return
-    None, which the trace records as empty.
+    or huge value, or a non-finite extra metric, raises ``Diverged``; it
+    and any other ``GotdError`` or ``np.linalg.LinAlgError`` from the
+    step (stalled CG, singular Gram, degenerate retraction, ...) or the
+    extra metric end the run ``ABORTED`` with the iterate index in the
+    reason string; any other exception propagates to the caller.  An
+    extra metric may return None, which the trace records as empty.
     """
     point = x0
     trace: list = []
@@ -232,18 +230,12 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
             gh = norm(gh_vec)
             gf = norm(gf_vec)
             if not np.isfinite([f_val, feas, gh, gf]).all() or feas > 1e12:
-                return GotdResult(
-                    point, trace, RunStatus.ABORTED,
-                    f"iteration {k}: diverged (non-finite or huge residual)",
-                )
+                raise Diverged("diverged (non-finite or huge residual)")
             done = max(gh, gf) <= config.tol or k == config.max_iter
             if k % config.trace_every == 0 or done:
                 extra = problem.extra_metric(point) if problem.extra_metric else None
                 if extra is not None and not np.isfinite(extra):
-                    return GotdResult(
-                        point, trace, RunStatus.ABORTED,
-                        f"iteration {k}: extra metric is {extra}",
-                    )
+                    raise Diverged(f"extra metric is {extra}")
                 trace.append(
                     TraceRecord(
                         k, time.perf_counter() - t_start, f_val, feas, gh, gf, extra
@@ -301,23 +293,15 @@ TRACE_HEADER = ["iter", "time_s", "f", "feas_norm", "gh_norm", "gf_norm", "extra
 
 
 def write_trace_csv(trace, path) -> None:
-    """Serialize trace records; floats in full-precision scientific
-    notation so files round-trip exactly."""
+    """Serialize trace records field by field: the iteration as an int,
+    every other value in full-precision scientific notation so files
+    round-trip exactly, and None as empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for rec in trace:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.wall_seconds:.17e}",
-                    f"{rec.f_value:.17e}",
-                    f"{rec.feas_norm:.17e}",
-                    f"{rec.gh_norm:.17e}",
-                    f"{rec.gf_norm:.17e}",
-                    "" if rec.extra_metric is None else f"{rec.extra_metric:.17e}",
-                ]
-            )
+            k, *values = (getattr(rec, f.name) for f in fields(rec))
+            writer.writerow([k, *("" if v is None else f"{v:.17e}" for v in values)])
 
 
 def read_trace_csv(path):
@@ -325,7 +309,9 @@ def read_trace_csv(path):
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("trace file has no header")
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header}")
         for row in reader:

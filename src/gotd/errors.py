@@ -25,6 +25,10 @@ class NotConverged(GotdError):
     """An iterative solver exhausted its budget without reaching tolerance."""
 
 
+class Diverged(GotdError):
+    """A run's values became non-finite or huge, or its extra metric non-finite."""
+
+
 class NotTangent(GotdError, ValueError):
     """A retraction step is not tangent at the point, or its factored
     form breaks the gauge conditions U^T Up = 0, V^T Vp = 0."""
@@ -39,7 +43,7 @@ class DegenerateProjection(GotdError):
 
 
 class DomainViolation(GotdError):
-    """An input left the domain of a function (e.g. Lorentz products < 1)."""
+    """An input left the domain of a function (e.g. a Lorentz product <= 0)."""
 
 
 class InfeasibleSampling(GotdError):

@@ -27,7 +27,6 @@ from .manifolds import (
 from .solvers import truncated_svd
 
 ARCCOSH_SERIES_CUT = 1e-8
-LORENTZ_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def _signature_pairing(prob: HyperbolicFitProblem, X: FactoredPoint) -> np.ndarr
 
 
 def _lorentz_gaps(prob: HyperbolicFitProblem, X, P=None) -> np.ndarray:
-    """u_i = -<x_i, target_i>_J, clamped at 1 from below.
+    """u_i = -<x_i, target_i>_J; DomainViolation where it is not positive.
 
     For a fixed-rank point u is the row sums of -(V Sigma) .* P^T with
     P from :func:`_signature_pairing` (passed in when the caller has it);
@@ -421,35 +420,42 @@ def _lorentz_gaps(prob: HyperbolicFitProblem, X, P=None) -> np.ndarray:
     else:
         T = prob.targets
         u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
-    if np.any(u < 1.0 - LORENTZ_SLACK):
+    if np.any(u <= 0.0):
         raise DomainViolation(
-            f"Lorentz product {u.min():.6e} below 1; columns left the sheet"
+            f"Lorentz product {u.min():.6e} not positive; columns left the sheet"
         )
-    return np.maximum(u, 1.0)
+    return u
 
 
 def _gradient_weights(u: np.ndarray) -> np.ndarray:
-    """w = -2 g(u) with g(u) = arccosh(u)/sqrt(u^2-1), continued by its
-    series value 1 - (u - 1)/3 near u = 1."""
-    safe = u > 1.0 + ARCCOSH_SERIES_CUT
-    us = np.where(safe, u, 2.0)
-    g = np.where(
-        safe,
-        np.arccosh(us) / np.sqrt(us * us - 1.0),
-        1.0 - (u - 1.0) / 3.0,
-    )
+    """w = -2 g(u) with g(u) = arccosh(u)/sqrt(u^2-1), continued by
+    arccos(u)/sqrt(1-u^2) below u = 1 and by the series 1 - (u - 1)/3
+    for |u - 1| <= ARCCOSH_SERIES_CUT."""
+    above = u > 1.0 + ARCCOSH_SERIES_CUT
+    below = u < 1.0 - ARCCOSH_SERIES_CUT
+    us = np.where(above, u, 2.0)
+    ub = np.where(below, u, 0.5)
+    g = np.where(above, np.arccosh(us) / np.sqrt(us * us - 1.0), 1.0 - (u - 1.0) / 3.0)
+    g = np.where(below, np.arccos(ub) / np.sqrt(1.0 - ub * ub), g)
     return -2.0 * g
 
 
+def _squared_distance_sum(u: np.ndarray) -> float:
+    """Sum of arccosh(u)^2, continued by -arccos(u)^2 below u = 1; one
+    term is an exact zero, so u >= 1 gives arccosh(u)^2 bit for bit."""
+    return float(np.sum(
+        np.arccosh(np.maximum(u, 1.0)) ** 2 - np.arccos(np.minimum(u, 1.0)) ** 2
+    ))
+
+
 def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
-    """Sum of squared hyperbolic distances to the target columns."""
-    u = _lorentz_gaps(prob, X)
-    return float(np.sum(np.arccosh(u) ** 2))
+    """Sum of squared hyperbolic distances to the targets, continued off the sheet."""
+    return _squared_distance_sum(_lorentz_gaps(prob, X))
 
 
 def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     """Column i is -2 g(u_i) J target_i with g(u) = arccosh(u)/sqrt(u^2-1),
-    continued by its series value 1 - (u - 1)/3 near u = 1."""
+    continued as in :func:`_gradient_weights`."""
     out = prob.targets * _gradient_weights(_lorentz_gaps(prob, X))[None, :]
     out[0] = -out[0]
     return out
@@ -468,7 +474,7 @@ def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X: FactoredPoint):
     P = _signature_pairing(prob, X)
     u = _lorentz_gaps(prob, X, P)
     w = _gradient_weights(u)
-    f_val = float(np.sum(np.arccosh(u) ** 2))
+    f_val = _squared_distance_sum(u)
     GV = prob.targets @ (w[:, None] * X.v)
     GV[0] = -GV[0]
     return f_val, FixedRankTangent.from_products(X, GV, w[:, None] * P.T)

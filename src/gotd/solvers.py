@@ -3,11 +3,11 @@ preconditioned conjugate gradients on a matrix-free operator, and a
 symmetric Sylvester solve factored once per matrix."""
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IllConditioned, RankDeficient
+from .errors import IllConditioned, NotConverged, RankDeficient
 
 RANK_RTOL = 1e-12
 COND_RTOL = 1e-12
@@ -58,23 +58,23 @@ def pinv_apply(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarr
 class PcgResult(NamedTuple):
     x: np.ndarray
     iters: int
-    converged: bool
 
 
 def pcg(
     A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    precond: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int,
 ) -> PcgResult:
     """Preconditioned conjugate gradients for a symmetric PSD operator,
     given as the callable ``A(v) = A v``, on arrays of any shape under the
-    Frobenius inner product.
+    Frobenius inner product; ``precond`` applies the preconditioner
+    (``lambda r: r`` runs plain CG).
 
-    Stops when ||A x - b|| <= tol * ||b||.  When the budget runs out or
-    the curvature <p, A p> is not positive, the last iterate is returned
-    with converged=False.
+    Stops when ||A x - b|| <= tol * ||b||.  Raises NotConverged when
+    max_iter iterations (possibly none) do not reach that, or when the
+    curvature <p, A p> is not positive.
     ``A`` and ``precond`` must not modify their argument: no vector is
     updated in place here, so none is copied.
     """
@@ -83,26 +83,27 @@ def pcg(
     nb = math.sqrt(np.vdot(b, b))
     x = np.zeros_like(b)
     if nb == 0.0:
-        return PcgResult(x, 0, True)
+        return PcgResult(x, 0)
     r = b
-    z = precond(r) if precond is not None else r
+    z = precond(r)
     p = z
     rz = float(np.vdot(r, z))
+    it = 0
     for it in range(1, max_iter + 1):
         Ap = A(p)
         pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
-            return PcgResult(x, it, False)
+            break
         step = rz / pAp
         x = x + step * p
         r = r - step * Ap
         if math.sqrt(np.vdot(r, r)) <= tol * nb:
-            return PcgResult(x, it, True)
-        z = precond(r) if precond is not None else r
+            return PcgResult(x, it)
+        z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return PcgResult(x, max_iter, False)
+    raise NotConverged(f"pcg stalled at {it} iterations")
 
 
 def sym_sylvester_solver(G: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -326,10 +326,15 @@ class TestStepAndRun:
         ("alpha", np.nan), ("alpha", np.inf), ("alpha", 0.0),
         ("beta", np.nan), ("beta", np.inf), ("beta", -1.0),
         ("tol", np.nan), ("tol", -1e-12),
+        ("max_iter", 1.5), ("max_iter", 10.0), ("trace_every", 1.5), ("trace_every", "2"),
     ])
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError):
             GotdConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = GotdConfig(max_iter=np.int64(3), trace_every=np.int32(2))
+        assert (config.max_iter, config.trace_every) == (3, 2)
 
     def test_step_at_stationary_point(self, rng):
         prob, X = self._stationary_problem(rng)
@@ -375,7 +380,8 @@ class TestStepAndRun:
         X0 = init_sphere(data, 1)
         res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=500.0, max_iter=400, tol=0.0))
         assert res.status is RunStatus.ABORTED
-        assert "iteration" in res.reason
+        assert res.reason == "iteration 3: diverged (non-finite or huge residual)"
+        assert [rec.iteration for rec in res.trace] == [0, 1, 2]
 
     def test_run_aborts_on_non_tangent_step(self, rng, monkeypatch):
         # a projector that skips the projection hands the retraction a
@@ -535,6 +541,12 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv([], path)
         assert path.read_text().splitlines()[0] == "iter,time_s,f,feas_norm,gh_norm,gf_norm,extra"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="no header"):
+            read_trace_csv(path)
 
     def test_truncated_row(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -2,20 +2,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gotd import (
     DomainViolation,
     FixedRankManifold,
+    GotdConfig,
+    HyperbolicFitProblem,
     InfeasibleSampling,
+    RunStatus,
     ShapeMismatch,
     gen_hyperbolic_data,
     gen_modes_problem,
     gen_sphere_data,
+    gotd_run,
     hyperbolic_grad,
     hyperbolic_objective,
     init_hyperbolic,
     init_modes,
     init_sphere,
+    make_hyperbolic_problem,
     modes_grad,
     modes_objective,
     sparsity_ratio,
@@ -223,7 +230,8 @@ class TestHyperbolicData:
         assert gen_hyperbolic_data(3, 10, 3, 0).targets.shape == (4, 10)
 
     def test_objective_zero_at_targets(self):
-        # the clamp at u = 1 leaves arccosh residue of order sqrt(eps)
+        # rounding leaves u within a few ulps of 1, on either side, where
+        # each continued term is of order eps
         data = gen_hyperbolic_data(12, 20, 3, 0)
         assert hyperbolic_objective(data, data.targets) <= 1e-12
 
@@ -260,6 +268,46 @@ class TestHyperbolicData:
             normal = j * x  # normal of the level set at x
             tang_part = g[:, i] - (g[:, i] @ normal) / (normal @ normal) * normal
             assert np.abs(tang_part).max() <= 1e-8
+
+    @given(
+        st.integers(0, 2**32 - 1), st.floats(-6.0, np.log10(0.3)), st.sampled_from([-1.0, 1.0])
+    )
+    def test_objective_continued_across_the_sheet(self, seed, log_gap, side):
+        # X = (1 + d) T puts every u = -<x_i, t_i>_J at 1 + d; near u = 1,
+        # f = sum arccosh(u)^2 = 2 (u - 1) - (u - 1)^2 / 3 + ... and
+        # g = 1 - (u - 1)/3 + ... on both sides, and the gradient matches
+        # central differences on both sides
+        data = gen_hyperbolic_data(3, 4, 2, seed)
+        d = side * 10.0**log_gap
+        X = (1.0 + d) * data.targets
+        JT = data.targets.copy()
+        JT[0] = -JT[0]
+        assert abs(hyperbolic_objective(data, X) - 2.0 * data.m * d) <= data.m * d * d + 1e-12
+        G = hyperbolic_grad(data, X)
+        # g(u) = arccos(u)/sqrt(1 - u^2) loses eps/|u - 1| to rounding
+        bound = (2.0 * d * d + 1e-9) * np.linalg.norm(JT)
+        assert np.linalg.norm(G + 2.0 * (1.0 - d / 3.0) * JT) <= bound
+        fd_gradient_check(
+            lambda Y: hyperbolic_objective(data, Y), lambda Y: hyperbolic_grad(data, Y),
+            X, np.random.default_rng(seed), trials=3, rtol=1e-7,
+        )
+
+    @pytest.mark.parametrize("tail, r", [(0.3, 2), (0.0, 1)])
+    def test_small_steps_near_the_sheet_do_not_abort(self, tail, r):
+        # targets lifted as gen_hyperbolic_data lifts them, at signal scale
+        # 0.72: a feasible start with small steps moves some u just below
+        # 1, where f is continued rather than rejected
+        rng = np.random.default_rng(15647184)
+        Z = 0.72 * rng.standard_normal((2, 39))
+        spatial = np.linalg.qr(rng.standard_normal((3, 2)))[0] @ Z
+        if tail > 0.0:
+            spatial = spatial + tail * rng.standard_normal((3, 39))
+        targets = np.vstack([np.sqrt(1.0 + np.einsum("ij,ij->j", spatial, spatial)), spatial])
+        data = HyperbolicFitProblem(targets, 3, 39, 2, 15647184, tail)
+        res = gotd_run(make_hyperbolic_problem(data, r), init_hyperbolic(data, r),
+                       GotdConfig(alpha=0.119, beta=0.043, max_iter=200))
+        assert res.status is RunStatus.MAX_ITER, res.reason
+        assert res.trace[-1].f_value < res.trace[0].f_value
 
     def test_domain_violation(self):
         data = gen_hyperbolic_data(8, 5, 2, 0)
