@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Diverged, GotdError
+from .errors import Diverged, GotdError, IllConditioned
 from .manifolds import norm
 from .solvers import pcg
 # no caller here; perfbench/test_checks.py checks that its tracer wraps this name
@@ -97,10 +97,14 @@ class RunStatus(Enum):
 
 @dataclass
 class GotdResult:
+    """The last point of a run, its trace and how it ended; an
+    ``ABORTED`` run also carries the exception that ended it."""
+
     point: object
     trace: list
     status: RunStatus
     reason: str = ""
+    error: Optional[GotdError] = None
 
     @property
     def iterations(self) -> int:
@@ -214,11 +218,13 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  A non-finite
     or huge value, or a non-finite extra metric, raises ``Diverged``; it
-    and any other ``GotdError`` or ``np.linalg.LinAlgError`` from the
-    step (stalled CG, singular Gram, degenerate retraction, ...) or the
-    extra metric end the run ``ABORTED`` with the iterate index in the
-    reason string; any other exception propagates to the caller.  An
-    extra metric may return None, which the trace records as empty.
+    and any other ``GotdError`` from the step (stalled CG, singular Gram,
+    degenerate retraction, ...) or the extra metric end the run
+    ``ABORTED``, with the exception as ``error`` and the iterate index in
+    the reason string.  An ``np.linalg.LinAlgError`` is re-raised as
+    ``IllConditioned`` with the original as its ``__cause__``; any other
+    exception propagates to the caller.  An extra metric may return None,
+    which the trace records as empty.
     """
     point = x0
     trace: list = []
@@ -248,8 +254,13 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
                 point, config.alpha * gh_vec + config.beta * gf_vec
             )
         except (GotdError, np.linalg.LinAlgError) as exc:
+            error = exc
+            if isinstance(exc, np.linalg.LinAlgError):
+                # the same arguments give the same reason string
+                error = IllConditioned(*exc.args)
+                error.__cause__ = exc
             return GotdResult(
-                point, trace, RunStatus.ABORTED, f"iteration {k}: {exc}"
+                point, trace, RunStatus.ABORTED, f"iteration {k}: {error}", error
             )
     raise AssertionError("unreachable")
 

@@ -427,22 +427,35 @@ class SparsityManifold:
 
         Ties are broken toward the smallest row-major linear index.
         Raises DegenerateStep when X + eta has fewer than s nonzeros.
+        A tangent step keeps the support, so X + eta has at most s
+        nonzeros: :meth:`project` returns it without a selection, or
+        raises when an entry of the step cancels X exactly.  Only a step
+        off the tangent space can leave more than s nonzeros and pay for
+        the selection.
         """
         self._check(X, eta)
         return self.project(X.values + eta)
 
     def project(self, Y: np.ndarray) -> SupportPoint:
         """Hard thresholding: keep the s largest entries in magnitude,
-        ties broken toward the smallest row-major linear index."""
+        ties broken toward the smallest row-major linear index.
+
+        A Y with exactly s nonzeros lies on the manifold and is its own
+        projection, at the cost of one count and one NaN scan; only a Y
+        with more than s nonzeros pays for a partition of all m n
+        magnitudes.  Either way a -0.0 off the support comes back +0.0.
+        """
         if Y.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
-        if np.count_nonzero(Y) < self.s:
-            raise DegenerateStep(
-                f"only {np.count_nonzero(Y)} nonzeros available, need {self.s}"
-            )
-        flat = np.abs(Y).ravel()
-        if np.isnan(flat).any():
+        nnz = np.count_nonzero(Y)
+        if nnz < self.s:
+            raise DegenerateStep(f"only {nnz} nonzeros available, need {self.s}")
+        if np.isnan(Y).any():
             raise DegenerateStep("NaN entries have no magnitude order")
+        if nnz == self.s:
+            # adding +0.0 turns -0.0 into +0.0, as the selection below does
+            return SupportPoint(Y + 0.0)
+        flat = np.abs(Y).ravel()
         # t is the s-th largest magnitude: keep every entry above it and
         # fill the budget with the entries equal to it, smallest index first
         t = np.partition(flat, flat.size - self.s)[flat.size - self.s]

@@ -74,7 +74,7 @@ def pcg(
 
     Stops when ||A x - b|| <= tol * ||b||.  Raises NotConverged when
     max_iter iterations (possibly none) do not reach that, or when the
-    curvature <p, A p> is not positive.
+    curvature <p, A p> is not positive; a NaN curvature stops it too.
     ``A`` and ``precond`` must not modify their argument: no vector is
     updated in place here, so none is copied.
     """
@@ -92,7 +92,7 @@ def pcg(
     for it in range(1, max_iter + 1):
         Ap = A(p)
         pAp = float(np.vdot(p, Ap))
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             break
         step = rz / pAp
         x = x + step * p

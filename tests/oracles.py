@@ -8,6 +8,7 @@ under test.
 import numpy as np
 
 from gotd import (
+    DegenerateStep,
     FactoredPoint,
     FixedRankManifold,
     FixedRankTangent,
@@ -17,6 +18,7 @@ from gotd import (
     RankDeficient,
     SparsityManifold,
     StiefelConstraint,
+    SupportPoint,
     hyperbolic_grad,
     hyperbolic_objective,
     sparsity_ratio,
@@ -145,6 +147,21 @@ def tangent_basis_fixed_rank(X: FactoredPoint):
             if a < r or b < r:
                 basis.append(np.outer(Ufull[:, a], Vfull[:, b]))
     return basis
+
+
+def hard_threshold(Y: np.ndarray, s: int) -> SupportPoint:
+    """Metric projection onto the matrices with s nonzeros by a stable
+    sort: the first s entries of a stable argsort of -|Y| are kept, so
+    ties go to the smallest row-major index, and every other entry is
+    +0.0.  Raises DegenerateStep for a NaN entry or fewer than s nonzeros.
+    """
+    flat = Y.ravel()
+    if np.count_nonzero(flat) < s or np.isnan(flat).any():
+        raise DegenerateStep("no unique s-sparse projection")
+    keep = np.argsort(-np.abs(flat), kind="stable")[:s]
+    out = np.zeros(flat.size)
+    out[keep] = flat[keep]
+    return SupportPoint(out.reshape(Y.shape))
 
 
 def tangent_basis_sparsity(X):

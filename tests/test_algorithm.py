@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from gotd import (
+    Diverged,
     DomainViolation,
     FixedRankManifold,
     GotdConfig,
     HyperboloidConstraint,
+    IllConditioned,
     NotConverged,
+    NotTangent,
     ObliqueConstraint,
     Problem,
     RunStatus,
@@ -38,6 +41,7 @@ from gotd.algorithm import TraceRecord
 from oracles import (
     feasible_hyperboloid_lowrank,
     feasible_oblique_lowrank,
+    hard_threshold,
     intersection_basis,
     loglog_slope,
     loop_tangent_intersection_project,
@@ -213,6 +217,7 @@ class TestTangentIntersectionProject:
         res = gotd_run(prob, X, GotdConfig(max_iter=3))
         assert res.status is RunStatus.ABORTED
         assert res.reason.startswith("iteration 0: pcg stalled")
+        assert type(res.error) is NotConverged
 
     def test_sparsity_stiefel_basis_oracle(self, rng):
         man = SparsityManifold(7, 3, 12)
@@ -381,6 +386,7 @@ class TestStepAndRun:
         res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=500.0, max_iter=400, tol=0.0))
         assert res.status is RunStatus.ABORTED
         assert res.reason == "iteration 3: diverged (non-finite or huge residual)"
+        assert type(res.error) is Diverged
         assert [rec.iteration for rec in res.trace] == [0, 1, 2]
 
     def test_run_aborts_on_non_tangent_step(self, rng, monkeypatch):
@@ -400,6 +406,7 @@ class TestStepAndRun:
                        GotdConfig(alpha=1.0, beta=1.0, max_iter=5, tol=0.0))
         assert res.status is RunStatus.ABORTED
         assert res.reason.startswith("iteration 0: eta is not tangent")
+        assert type(res.error) is NotTangent
         assert len(res.trace) == 1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -417,6 +424,7 @@ class TestStepAndRun:
                        GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0))
         assert res.status is RunStatus.ABORTED
         assert res.reason == f"iteration 2: extra metric is {bad}"
+        assert type(res.error) is Diverged
         assert [rec.iteration for rec in res.trace] == [0, 1]
 
     def test_run_allows_a_missing_extra_metric(self):
@@ -433,7 +441,8 @@ class TestStepAndRun:
     )
     def test_run_aborts_when_extra_metric_fails(self, exc):
         # a failing trace metric ends the run ABORTED at that iterate,
-        # with the records before it kept
+        # with the records before it kept; a LinAlgError comes back as
+        # the IllConditioned it caused
         data = gen_sphere_data(20, 18, 2, 1.5, 3)
         prob = make_sphere_problem(data)
         calls = []
@@ -449,13 +458,41 @@ class TestStepAndRun:
         res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0))
         assert res.status is RunStatus.ABORTED
         assert res.reason == f"iteration 2: {exc}"
+        if isinstance(exc, np.linalg.LinAlgError):
+            assert type(res.error) is IllConditioned and res.error.__cause__ is exc
+        else:
+            assert res.error is exc
         assert [rec.iteration for rec in res.trace] == [0, 1]
+        assert res.point is calls[-1]
+
+    def test_run_aborts_on_linalg_error_from_value_and_grad(self):
+        data = gen_modes_problem(64, 3, 50.0, 0.6)
+        prob = make_modes_problem(data)
+        clean = prob.value_and_grad
+        calls = []
+        cause = np.linalg.LinAlgError("Singular matrix")
+
+        def value_and_grad(X):
+            calls.append(X)
+            if len(calls) == 2:
+                raise cause
+            return clean(X)
+
+        prob.value_and_grad = value_and_grad
+        res = gotd_run(prob, init_modes(data, 0),
+                       GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=10, tol=0.0))
+        assert res.status is RunStatus.ABORTED
+        assert res.reason == "iteration 1: Singular matrix"
+        assert type(res.error) is IllConditioned
+        assert res.error.__cause__ is cause
+        assert [rec.iteration for rec in res.trace] == [0]
         assert res.point is calls[-1]
 
     def test_run_aborts_on_nan_gradient_outside_support(self):
         # tangent_project multiplies by the 0/1 mask, so a NaN outside the
-        # support is not zeroed: it reaches CG, which stops with
-        # NotConverged, and the run ends ABORTED, not with a traceback
+        # support is not zeroed: it reaches CG, which stops at its first
+        # NaN curvature with NotConverged, and the run ends ABORTED, not
+        # with a traceback
         data = gen_modes_problem(64, 3, 50.0, 0.6)
         prob = make_modes_problem(data)
         clean = prob.value_and_grad
@@ -472,7 +509,8 @@ class TestStepAndRun:
         res = gotd_run(prob, init_modes(data, 0),
                        GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=10, tol=0.0))
         assert res.status is RunStatus.ABORTED
-        assert res.reason.startswith("iteration 2: pcg stalled")
+        assert res.reason == "iteration 2: pcg stalled at 1 iterations"
+        assert type(res.error) is NotConverged
         assert [rec.iteration for rec in res.trace] == [0, 1]
 
     def test_small_recovery_run(self, rng):
@@ -490,6 +528,28 @@ class TestStepAndRun:
         res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0,
                                             trace_every=4))
         assert [rec.iteration for rec in res.trace] == [0, 4, 8, 10]
+
+    def test_modes_run_matches_hard_threshold_oracle(self, monkeypatch):
+        # every retraction of the run keeps the support and selects
+        # nothing; a run whose projection is the stable-sort oracle at
+        # every step gives the same trace and the same final point
+        data = gen_modes_problem(64, 4, 50.0, 0.6)
+        problem = make_modes_problem(data)
+        config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=30, tol=0.0)
+        shipped = gotd_run(problem, init_modes(data, 0), config)
+        monkeypatch.setattr(
+            SparsityManifold, "project", lambda self, Y: hard_threshold(Y, self.s)
+        )
+        oracle = gotd_run(problem, init_modes(data, 0), config)
+        assert shipped.status is oracle.status is RunStatus.MAX_ITER
+        untimed = [
+            [dataclasses.replace(rec, wall_seconds=0.0) for rec in run.trace]
+            for run in (shipped, oracle)
+        ]
+        assert len(untimed[0]) == 31 and untimed[0] == untimed[1]
+        values = shipped.point.values, oracle.point.values
+        assert np.array_equal(*values)
+        assert np.array_equal(*map(np.signbit, values))
 
 
 class TestLyapunov:

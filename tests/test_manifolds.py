@@ -14,6 +14,7 @@ from gotd import (
     SupportPoint,
 )
 from oracles import (
+    hard_threshold,
     loglog_slope,
     project_onto_basis,
     random_factored,
@@ -238,21 +239,41 @@ class TestSparsity:
 
     @given(st.data())
     def test_project_matches_stable_sort_selection(self, data):
-        # small integer magnitudes of both signs make ties the rule
+        # a tangent step X + mask * Z has at most s nonzeros, -0.0 off the
+        # support where both summands are -0.0, and fewer than s when a
+        # support entry cancels; small magnitudes of both signs make ties
+        # the rule and, with s drawn from 1..m n, leave more, as many or
+        # fewer nonzeros than s.  Both sides agree bit for bit, sign of
+        # zero included, or both raise.
         m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
-        Y = np.array(
-            data.draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)),
-            dtype=float,
-        ).reshape(m, n)
-        nnz = np.count_nonzero(Y)
-        assume(nnz >= 1)
-        s = data.draw(st.integers(1, nnz))
-        keep = np.argsort(-np.abs(Y).ravel(), kind="stable")[:s]
-        mask = np.zeros(m * n, dtype=bool)
-        mask[keep] = True
-        out = SparsityManifold(m, n, s).project(Y)
-        assert np.array_equal(out.support, mask.reshape(m, n))
-        assert np.array_equal(out.values, np.where(out.support, Y, 0.0))
+        if data.draw(st.booleans()):
+            support = np.array(
+                data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+            ).reshape(m, n)
+            assume(support.any())
+            s = int(support.sum())
+            on = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3).filter(bool)))
+            off = data.draw(arrays(float, (m, n), elements=st.sampled_from([0.0, -0.0])))
+            X = np.where(support, on, off)
+            Z = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
+            if data.draw(st.booleans()):
+                cancel = data.draw(st.sampled_from(np.flatnonzero(support).tolist()))
+                Z.flat[cancel] = -X.flat[cancel]
+            Y = X + support * Z
+        else:
+            values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
+            Y = data.draw(arrays(float, (m, n), elements=st.sampled_from(values)))
+            s = data.draw(st.integers(1, m * n))
+        man = SparsityManifold(m, n, s)
+        try:
+            expected = hard_threshold(Y, s).values
+        except DegenerateStep:
+            with pytest.raises(DegenerateStep):
+                man.project(Y)
+            return
+        out = man.project(Y).values
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
     def test_project_rejects_nan(self):
         with pytest.raises(DegenerateStep):

@@ -138,14 +138,16 @@ class TestPcg:
         assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_non_convergence_raises(self, rng):
-        # a stall, non-positive curvature and an empty budget each raise,
-        # naming the iterations spent
+        # a stall, non-positive or NaN curvature and an empty budget each
+        # raise, naming the iterations spent
         d = np.logspace(0, 8, 40)
         b = rng.standard_normal(40)
         with pytest.raises(NotConverged, match="^pcg stalled at 3 iterations$"):
             pcg(lambda v: d * v, b, identity, 1e-14, 3)
         with pytest.raises(NotConverged, match="^pcg stalled at 1 iterations$"):
             pcg(lambda v: -v, b, identity, 1e-10, 200)
+        with pytest.raises(NotConverged, match="^pcg stalled at 1 iterations$"):
+            pcg(lambda v: np.full_like(v, np.nan), b, identity, 1e-10, 200)
         with pytest.raises(NotConverged, match="^pcg stalled at 0 iterations$"):
             pcg(lambda v: v, b, identity, 1e-10, 0)
 
