@@ -142,9 +142,13 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
         P_S(xi) = xi_bar - Phi(lam),   B lam = Dh(xi_bar),   xi_bar = P_T(xi).
 
     B is applied matrix-free through the contract maps and the system is
-    solved by conjugate gradients preconditioned with the inverse of
-    Dh Dh*, ``gram`` (``constraint.gram_solver(point)`` unless the caller
-    has it already).  B = Phi^T Phi may be singular (for instance at a
+    solved by conjugate gradients.  Where P_T is a coordinate mask
+    (``manifold.tangent_mask(point)`` is not None), B = Dh Diag(mask) Dh*
+    and the preconditioner is its inverse,
+    ``constraint.gram_solver(point, mask)``, so CG ends after one
+    iteration unless B is badly conditioned on its range.  Otherwise it is the inverse of Dh Dh*,
+    ``gram`` (``constraint.gram_solver(point)`` unless the caller has it
+    already).  B = Phi^T Phi may be singular (for instance at a
     sparsity point whose columns have disjoint supports), but the
     right-hand side Phi^T xi_bar lies in its range, CG from zero stays
     there, and every solution gives the same Phi(lam).  CG raises
@@ -156,9 +160,13 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     def phi(lam):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
+    mask = manifold.tangent_mask(point)
+    if mask is not None:
+        gram = constraint.gram_solver(point, mask)
+    elif gram is None:
+        gram = constraint.gram_solver(point)
     lam = pcg(
-        lambda lam: constraint.dh(point, phi(lam)), rhs,
-        precond=constraint.gram_solver(point) if gram is None else gram,
+        lambda lam: constraint.dh(point, phi(lam)), rhs, precond=gram,
         tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q,
     ).x
     return xi_bar - phi(lam)
@@ -188,7 +196,8 @@ def optimality_direction(problem: Problem, point, grad=None, gram=None):
 
 def _evaluate(problem: Problem, point):
     """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
-    gradient, one of h and one factorization of Dh Dh*."""
+    gradient, one of h and one factorization of Dh Dh*; G_f factors the
+    masked Gram matrix instead where the tangent projection is a mask."""
     f_val, grad = _value_and_gradient(problem, point)
     f_val = problem.f(point) if f_val is None else f_val
     constraint = problem.constraint
@@ -214,7 +223,9 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     The point itself is handed to the objective, the constraint and the
     projections, so a factored iterate stays factored through the step.
     Each iterate is evaluated once: ``value_and_grad`` (or ``grad_f`` and
-    ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions.
+    ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions
+    unless the tangent projection is a mask (see
+    :func:`tangent_intersection_project`).
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  A non-finite
     or huge value, or a non-finite extra metric, raises ``Diverged``; it

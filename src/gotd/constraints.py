@@ -1,10 +1,11 @@
 """Level-set constraint maps h with zero set H = {h = 0}.
 
 Three instances share one contract -- ``value``, ``dh`` (differential),
-``dh_adjoint``, ``gram_solver`` (the inverse of Dh Dh*, factored once at a
-point and returned as a callable), ``gram_solve`` (one such solve) and
-``project`` (metric projection onto H), each checking its operands against
-the constraint's ``shape``:
+``dh_adjoint``, ``gram_solver(X, mask=None)`` (the inverse of
+Dh Diag(mask) Dh*, Dh Dh* without a mask, factored once at a point and
+returned as a callable), ``gram_solve`` (one solve by the unmasked
+inverse) and ``project`` (metric projection onto H), each checking its
+operands against the constraint's ``shape``:
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -15,13 +16,18 @@ The oblique and hyperboloid values and multipliers are vectors in R^q;
 the Stiefel value X^T X - I and its multipliers are p x p matrices, and
 the adjoint identities hold under the Frobenius inner product.  Either way
 q is the dimension of the multiplier space.  The oblique and hyperboloid
-Dh Dh* are diagonal and share one solve.
+Dh Dh* are diagonal and share one solve.  A mask is the 0/1 array that a
+manifold's tangent projection multiplies by (``tangent_mask``), so the
+masked inverse is the exact inverse of the reduced Gram operator
+Dh P_T Dh* there.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
 work on the factors of a fixed-rank point, at O((m + n) r^2) for a
 factored direction; the Stiefel map acts on the ambient matrix.
 """
+
+import functools
 
 import numpy as np
 
@@ -34,6 +40,8 @@ SECULAR_MAX_ITER = 100
 # a secular bracket this narrow has closed to rounding: for |mu| >= 1/2 its
 # ends are adjacent doubles
 BRACKET_WIDTH = 0.5 * np.finfo(float).eps
+# shift of the masked Stiefel Gram matrix, relative to its mean eigenvalue
+MASKED_GRAM_SHIFT = 1e-13
 
 
 def _check_shape(constraint, X, Z=None):
@@ -88,8 +96,10 @@ class ObliqueConstraint:
             return FixedRankTangent(X.u, X.v, M, L - X.u @ M, np.zeros_like(X.v))
         return 2.0 * lam[:, None] * as_dense(X)
 
-    def gram_solver(self, X):
-        """Dh Dh* is diagonal with entries 4 ||row_i||^2."""
+    def gram_solver(self, X, mask=None):
+        """Dh Dh* is diagonal with entries 4 ||row_i||^2.  A mask that
+        covers X's support is ignored: Dh* lam rescales rows of X, so it
+        keeps that support and Dh Diag(mask) Dh* = Dh Dh*."""
         _check_shape(self, X)
         return _diagonal_solver(4.0 * _row_sq_norms(X), "row")
 
@@ -150,9 +160,11 @@ class HyperboloidConstraint:
             return LowRankMatrix(2.0 * self._ja(X), lam[:, None] * X.v)
         return 2.0 * (self.j_diag[:, None] * as_dense(X)) * lam[None, :]
 
-    def gram_solver(self, X):
+    def gram_solver(self, X, mask=None):
         """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I);
-        ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
+        ||col_j|| = ||Sigma v_j|| for a fixed-rank point.  A mask that
+        covers X's support is ignored: Dh* lam rescales columns of J X, so
+        it keeps that support and Dh Diag(mask) Dh* = Dh Dh*."""
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
             g = _row_sq_norms(X.v * X.sigma)
@@ -230,6 +242,36 @@ class HyperboloidConstraint:
         return x
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_gram_maps(p: int):
+    """Index maps of the masked Stiefel Gram matrix in the basis
+    E_k = t_k (e_c e_d^T + e_d e_c^T), k = (c, d) with c <= d in
+    ``np.triu_indices`` order, t_k = 1/2 for c = d and 1/sqrt(2) else.
+
+    Returns (rows, cols, t, index, weight): c, d and t over k, and the
+    (4, q, q) arrays that give, for l = (a, b) and [.] the 0/1 indicator,
+
+        B_kl = 4 t_k t_l ([d = b] K_b[c, a] + [d = a] K_a[c, b]
+                          + [c = b] K_b[d, a] + [c = a] K_a[d, b])
+
+    as ``(weight * K.ravel()[index]).sum(axis=0)``, with K the stacked
+    (p, p, p) array of the K_j.  The cached arrays are read-only.
+    """
+    rows, cols = np.triu_indices(p)
+    t = np.where(rows == cols, 0.5, np.sqrt(0.5))
+    c, d, a, b = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+
+    def flat(j, x, y):
+        return (j * p + x) * p + y
+
+    index = np.stack([flat(b, c, a), flat(a, c, b), flat(b, d, a), flat(a, d, b)])
+    weight = 4.0 * np.outer(t, t) * np.stack([d == b, d == a, c == b, c == a])
+    maps = rows, cols, t, index, weight
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 class StiefelConstraint:
     """h(X) = X^T X - I_p on R^{n x p}, a symmetric p x p matrix; zero set =
     orthonormal columns.  q = p (p + 1) / 2, the dimension of Sym(p)."""
@@ -258,13 +300,42 @@ class StiefelConstraint:
             raise ShapeMismatch(f"expected a {self.p} x {self.p} multiplier")
         return as_dense(X) @ (lam + lam.T)
 
-    def gram_solver(self, X):
-        """Invert L -> 2 (G L + L G) on Sym(p) with G = X^T X, whose
-        eigendecomposition is taken once here."""
-        _check_shape(self, X)
+    def gram_solver(self, X, mask=None):
+        """Invert Dh Diag(mask) Dh* on Sym(p).
+
+        Without a mask this is L -> 2 (G L + L G) with G = X^T X, whose
+        eigendecomposition is taken once here.  With one it is
+        L -> W + W^T, where column j of W is 2 K_j L[:, j] and
+        K_j = X^T Diag(mask[:, j]) X.  That operator is assembled as a
+        q x q matrix B in the orthonormal basis E_ii, (E_ij + E_ji) / sqrt(2)
+        (i < j) of Sym(p): the p matrices K_j cost O(n p^3), and their
+        entries land in B by index maps that depend on p alone.  Each call
+        solves with B + delta I, delta = MASKED_GRAM_SHIFT tr(B) / q: B is
+        singular where two columns have disjoint supports, and the shift
+        keeps the solve definite.  Raises IllConditioned when tr(B) = 0.
+        """
+        _check_shape(self, X, mask)
         X = as_dense(X)
-        sylvester = sym_sylvester_solver(X.T @ X)
-        return lambda b: sylvester(b / 2.0)
+        if mask is None:
+            sylvester = sym_sylvester_solver(X.T @ X)
+            return lambda b: sylvester(b / 2.0)
+        Xt = np.ascontiguousarray(X.T)
+        # p products of p x n by n x p: a single n x p^2 temporary is slower
+        K = np.stack([(Xt * m) @ X for m in np.ascontiguousarray(mask.T)])
+        rows, cols, t, index, weight = _sym_gram_maps(self.p)
+        B = (weight * K.ravel()[index]).sum(axis=0)
+        trace = np.trace(B)
+        if not trace > 0.0:
+            raise IllConditioned(f"masked Gram matrix has trace {trace}")
+        B.flat[:: self.q + 1] += MASKED_GRAM_SHIFT * trace / self.q
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            # coordinates <E_k, b> in, L = sum_k y_k E_k out
+            L = np.zeros((self.p, self.p))
+            L[rows, cols] = t * np.linalg.solve(B, t * (b[rows, cols] + b[cols, rows]))
+            return L + L.T
+
+        return solve
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)

@@ -2,7 +2,10 @@
 fixed-cardinality (sparsity) set.
 
 Each manifold implements the same small contract: ``tangent_project``,
-``retract`` and ``project`` (metric projection from the ambient space).
+``tangent_mask``, ``retract`` and ``project`` (metric projection from the
+ambient space).  ``tangent_mask`` returns the 0/1 array that
+``tangent_project`` multiplies by where that projection is a coordinate
+mask (the sparsity set), and None where it is not (fixed rank).
 Points carry their own structure -- a thin SVD triple for fixed rank,
 the values alone for sparsity -- and ``dense()`` recovers the ambient
 matrix.  Fixed-rank tangent vectors stay factored as well
@@ -271,7 +274,7 @@ class SupportPoint:
     @functools.cached_property
     def nnz(self) -> int:
         """Size of the support, counted once per point."""
-        return int(self.support.sum())
+        return int(np.count_nonzero(self.support))
 
     @functools.cached_property
     def mask(self) -> np.ndarray:
@@ -329,6 +332,10 @@ class FixedRankManifold:
         """
         self._check(X, Z)
         return FixedRankTangent.from_ambient(X, Z)
+
+    def tangent_mask(self, X: FactoredPoint) -> None:
+        """None: the tangent projection at X is not diagonal."""
+        return None
 
     def retract(self, X: FactoredPoint, eta) -> FactoredPoint:
         """Metric-projection retraction: best rank-r approximation of X + eta.
@@ -422,6 +429,10 @@ class SparsityManifold:
         self._check(X, Z)
         return Z * X.mask
 
+    def tangent_mask(self, X: SupportPoint) -> np.ndarray:
+        """The 0/1 mask of X that :meth:`tangent_project` multiplies by."""
+        return X.mask
+
     def retract(self, X: SupportPoint, eta: np.ndarray) -> SupportPoint:
         """Keep the s largest-magnitude entries of X + eta.
 
@@ -447,7 +458,7 @@ class SparsityManifold:
         """
         if Y.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
-        nnz = np.count_nonzero(Y)
+        nnz = np.count_nonzero(Y != 0.0)
         if nnz < self.s:
             raise DegenerateStep(f"only {nnz} nonzeros available, need {self.s}")
         if np.isnan(Y).any():

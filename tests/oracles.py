@@ -42,6 +42,17 @@ def random_support_point(rng, m, n, s):
     return SparsityManifold(m, n, s).project(rng.standard_normal((m, n)))
 
 
+def disjoint_support_point(rng) -> SupportPoint:
+    """A 6 x 3 sparse point whose columns 0 and 1 have disjoint supports:
+    P_T kills the adjoint image of their off-diagonal multiplier, so the
+    reduced Gram matrix B = Dh P_T Dh* of the Stiefel map is singular."""
+    support = np.zeros((6, 3), dtype=bool)
+    support[[0, 1, 2], 0] = True
+    support[[3, 4, 5], 1] = True
+    support[[0, 3, 4], 2] = True
+    return SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0))
+
+
 def feasible_oblique_lowrank(rng, m, n, r) -> FactoredPoint:
     """Rank-r point with unit rows (row scaling preserves the rank)."""
     X = random_factored(rng, m, n, r).dense()
@@ -310,7 +321,8 @@ def qr_retract(X: FactoredPoint, eta) -> FactoredPoint:
 
 class DenseConstraint:
     """A constraint that only ever sees dense ambient matrices, and whose
-    Gram solver calls ``gram_solve`` afresh for every right-hand side."""
+    Gram solver factors afresh for every right-hand side: by
+    ``gram_solve``, or with a mask by the inner masked solver."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -328,8 +340,10 @@ class DenseConstraint:
     def gram_solve(self, X, b):
         return self.inner.gram_solve(X.dense(), b)
 
-    def gram_solver(self, X):
-        return lambda b: self.gram_solve(X, b)
+    def gram_solver(self, X, mask=None):
+        if mask is None:
+            return lambda b: self.gram_solve(X, b)
+        return lambda b: self.inner.gram_solver(X.dense(), mask)(b)
 
 
 def collapsed_projector(manifold, constraint, point, xi, gram=None):

@@ -17,7 +17,6 @@ from gotd import (
     RunStatus,
     SparsityManifold,
     StiefelConstraint,
-    SupportPoint,
     feasibility_direction,
     find_monotone_balance,
     gauss_newton_direction,
@@ -38,7 +37,9 @@ from gotd import (
 )
 from gotd import algorithm
 from gotd.algorithm import TraceRecord
+from gotd.solvers import pcg
 from oracles import (
+    disjoint_support_point,
     feasible_hyperboloid_lowrank,
     feasible_oblique_lowrank,
     hard_threshold,
@@ -230,14 +231,9 @@ class TestTangentIntersectionProject:
         assert np.linalg.norm(out - expected) <= 1e-8 * max(1.0, np.linalg.norm(xi))
 
     def test_singular_reduced_gram(self, rng):
-        # columns 0 and 1 have disjoint supports, so P_T kills the adjoint
-        # image of their off-diagonal multiplier and B = Dh P_T Dh* is
-        # singular; CG on the consistent system still gives P_S
-        support = np.zeros((6, 3), dtype=bool)
-        support[[0, 1, 2], 0] = True
-        support[[3, 4, 5], 1] = True
-        support[[0, 3, 4], 2] = True
-        X = SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0))
+        # B = Dh P_T Dh* is singular; CG on the consistent system still
+        # gives P_S
+        X = disjoint_support_point(rng)
         man = SparsityManifold(6, 3, 9)
         C = StiefelConstraint(6, 3)
         eig = np.linalg.eigvalsh(reduced_gram_matrix(man, C, X))
@@ -250,6 +246,63 @@ class TestTangentIntersectionProject:
             assert np.linalg.norm(out - project_onto_basis(basis, xi)) <= 1e-8 * scale
             loop = loop_tangent_intersection_project(man, C, X, xi)
             assert np.linalg.norm(out - loop) <= 1e-10 * scale
+
+    @staticmethod
+    def spy_on_pcg(monkeypatch):
+        """Record the iteration count of every CG run of the projector."""
+        iters = []
+
+        def spy(*args, **kwargs):
+            out = pcg(*args, **kwargs)
+            iters.append(out.iters)
+            return out
+
+        monkeypatch.setattr(algorithm, "pcg", spy)
+        return iters
+
+    @pytest.mark.parametrize("disjoint", [False, True])
+    def test_masked_preconditioner_ends_cg_in_one_iteration(self, rng, monkeypatch, disjoint):
+        # where P_T is a mask the preconditioner is B^-1 itself, also where
+        # B is singular
+        iters = self.spy_on_pcg(monkeypatch)
+        X = disjoint_support_point(rng) if disjoint else random_support_point(rng, 40, 5, 120)
+        man, C = SparsityManifold(*X.shape, X.nnz), StiefelConstraint(*X.shape)
+        for _ in range(5):
+            tangent_intersection_project(man, C, X, rng.standard_normal(X.shape))
+        assert iters == [1] * 5
+
+    def test_modes_run_ends_cg_in_one_iteration(self, monkeypatch):
+        # the run hands the projector its unmasked Gram solver for G_h;
+        # the mask still decides the preconditioner of G_f
+        iters = self.spy_on_pcg(monkeypatch)
+        data = gen_modes_problem(64, 4, 50.0, 0.6)
+        config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=20, tol=0.0)
+        res = gotd_run(make_modes_problem(data), init_modes(data, 0), config)
+        assert res.status is RunStatus.MAX_ITER
+        assert iters == [1] * 21
+
+    def test_fixed_rank_pairs_get_no_mask(self, rng, monkeypatch, pair):
+        # a fixed-rank tangent projection is not a mask, so CG keeps the
+        # unmasked (Dh Dh*)^-1, from the caller or built here
+        man, C, X, _ = pair
+        iters = self.spy_on_pcg(monkeypatch)
+        calls = []
+        solver = C.gram_solver
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(C, "gram_solver", spy)
+        assert man.tangent_mask(X) is None
+        xi = rng.standard_normal(X.shape)
+        tangent_intersection_project(man, C, X, xi)
+        tangent_intersection_project(man, C, X, xi, solver(X))
+        prob = Problem(man, C, lambda X: 0.0, lambda X: xi)
+        gotd_run(prob, X, GotdConfig(max_iter=2, tol=0.0))
+        assert len(iters) == 5 and min(iters) >= 1
+        assert len(calls) == 4
+        assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
 
     def test_modes_trace_matches_loop_route(self, monkeypatch):
         data = gen_modes_problem(128, 5, 50.0, 0.6)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gotd import (
@@ -13,7 +13,14 @@ from gotd import (
     SparsityManifold,
     StiefelConstraint,
 )
-from oracles import fd_dh_check, quartic_hyperboloid_project
+from oracles import (
+    disjoint_support_point,
+    fd_dh_check,
+    multiplier_basis,
+    quartic_hyperboloid_project,
+    random_support_point,
+    reduced_gram_matrix,
+)
 
 
 def lift_columns(spatial):
@@ -216,6 +223,79 @@ class TestGramSolve:
         X = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(IllConditioned):
             C.gram_solve(X, np.ones((2, 2)))
+
+
+class TestMaskedGramSolver:
+    @staticmethod
+    def oracle(X):
+        """The Stiefel masked Gram solver at a sparse point X, the oracle
+        B of its reduced Gram operator, and the basis of B's coordinates."""
+        n, p = X.shape
+        C = StiefelConstraint(n, p)
+        B = reduced_gram_matrix(SparsityManifold(n, p, X.nnz), C, X)
+        return C.gram_solver(X, X.mask), B, multiplier_basis(C, X)
+
+    @given(
+        n=st.integers(1, 8),
+        p=st.integers(1, 4),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, p=1, density=0.6, seed=0)  # q = 1
+    def test_stiefel_matches_reduced_gram_oracle(self, n, p, density, seed):
+        # the solver applied to B L returns L for L (coordinates y) in the
+        # range of B: up to its numerical kernel (eigenvalues below
+        # 1e-10 lambda_max, which Phi maps to rounding), and up to the
+        # shift delta = 1e-13 tr(B) / q, which moves the solution by at
+        # most delta / lambda_min <= 1e-13 kappa relative, with kappa the
+        # condition number of B on its range
+        rng = np.random.default_rng(seed)
+        X = random_support_point(rng, n, p, max(1, round(density * n * p)))
+        solve, B, basis = self.oracle(X)
+        w, V = np.linalg.eigh(B)
+        in_range = w > 1e-10 * w[-1]
+        R, kappa = V[:, in_range], w[-1] / w[in_range][0]
+        for _ in range(3):
+            y = R @ rng.standard_normal(R.shape[1])
+            out = solve(sum(c * E for c, E in zip(B @ y, basis)))
+            assert np.array_equal(out, out.T)
+            err = np.array([np.vdot(E, out) for E in basis]) - y
+            assert np.linalg.norm(B @ err) <= 1e-10 * w[-1] * np.linalg.norm(y)
+            assert np.linalg.norm(R.T @ err) <= (1e-10 + 2e-13 * kappa) * np.linalg.norm(y)
+
+    def test_stiefel_singular_reduced_gram(self, rng):
+        # the kernel of B is the coordinate of the off-diagonal multiplier
+        # of columns 0 and 1, where B and the right-hand side are exact
+        # zeros, so the shifted solve returns L itself
+        solve, B, basis = self.oracle(disjoint_support_point(rng))
+        assert np.linalg.eigvalsh(B)[0] == 0.0
+        for _ in range(3):
+            y = B @ rng.standard_normal(len(basis))
+            L = sum(c * E for c, E in zip(y, basis))
+            out = solve(sum(c * E for c, E in zip(B @ y, basis)))
+            assert np.linalg.norm(out - L) <= 1e-10 * np.linalg.norm(L)
+
+    @pytest.mark.parametrize("kind", ["oblique", "hyperboloid"])
+    @given(density=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_maps_ignore_the_mask(self, kind, density, seed):
+        # Dh* lam rescales rows or columns, so it keeps the support of X
+        rng = np.random.default_rng(seed)
+        C, X = make_instance(kind, rng)
+        X = np.where(rng.random(X.shape) < density, X, 0.0)
+        X[:, 0] = X[0] = 1.0  # no zero row or column
+        b = random_multiplier(C, rng)
+        masked = C.gram_solver(X, (X != 0.0).astype(float))(b)
+        assert np.array_equal(masked, C.gram_solver(X)(b))
+
+    def test_stiefel_zero_point_rejected(self):
+        C = StiefelConstraint(4, 2)
+        with pytest.raises(IllConditioned, match="trace 0.0"):
+            C.gram_solver(np.zeros((4, 2)), np.ones((4, 2)))
+
+    def test_stiefel_mask_shape_checked(self, rng):
+        C, X = make_instance("stiefel", rng)
+        with pytest.raises(ShapeMismatch):
+            C.gram_solver(X, np.ones((X.shape[0] + 1, X.shape[1])))
 
 
 class TestProjections:

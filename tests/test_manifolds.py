@@ -191,8 +191,12 @@ class TestSparsity:
         assume(support.any())
         X = SupportPoint(np.where(support, 1.5, 0.0))
         Z = data.draw(arrays(float, (m, n), elements=st.floats(allow_nan=False, allow_infinity=False)))
-        out = SparsityManifold(m, n, int(support.sum())).tangent_project(X, Z)
+        man = SparsityManifold(m, n, int(support.sum()))
+        out = man.tangent_project(X, Z)
         assert np.array_equal(out, np.where(support, Z, 0.0))
+        # the mask that the projection multiplies by is the contract's mask
+        assert np.array_equal(man.tangent_mask(X), support.astype(float))
+        assert X.nnz == support.sum() and type(X.nnz) is int
 
     def test_tangent_project_masks(self, rng):
         man = SparsityManifold(3, 1, 1)
