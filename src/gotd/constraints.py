@@ -242,34 +242,16 @@ class HyperboloidConstraint:
         return x
 
 
-@functools.lru_cache(maxsize=None)
-def _sym_gram_maps(p: int):
-    """Index maps of the masked Stiefel Gram matrix in the basis
-    E_k = t_k (e_c e_d^T + e_d e_c^T), k = (c, d) with c <= d in
-    ``np.triu_indices`` order, t_k = 1/2 for c = d and 1/sqrt(2) else.
-
-    Returns (rows, cols, t, index, weight): c, d and t over k, and the
-    (4, q, q) arrays that give, for l = (a, b) and [.] the 0/1 indicator,
-
-        B_kl = 4 t_k t_l ([d = b] K_b[c, a] + [d = a] K_a[c, b]
-                          + [c = b] K_b[d, a] + [c = a] K_a[d, b])
-
-    as ``(weight * K.ravel()[index]).sum(axis=0)``, with K the stacked
-    (p, p, p) array of the K_j.  The cached arrays are read-only.
-    """
+@functools.lru_cache(maxsize=16)
+def _sym_basis(p: int):
+    """(c, d, t) over the orthonormal basis E_k = t_k (e_c e_d^T + e_d e_c^T)
+    of Sym(p), k = (c, d) with c <= d in ``np.triu_indices`` order, t_k = 1/2
+    for c = d and 1/sqrt(2) else; three read-only q-vectors."""
     rows, cols = np.triu_indices(p)
     t = np.where(rows == cols, 0.5, np.sqrt(0.5))
-    c, d, a, b = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
-
-    def flat(j, x, y):
-        return (j * p + x) * p + y
-
-    index = np.stack([flat(b, c, a), flat(a, c, b), flat(b, d, a), flat(a, d, b)])
-    weight = 4.0 * np.outer(t, t) * np.stack([d == b, d == a, c == b, c == a])
-    maps = rows, cols, t, index, weight
-    for arr in maps:
+    for arr in (rows, cols, t):
         arr.flags.writeable = False
-    return maps
+    return rows, cols, t
 
 
 class StiefelConstraint:
@@ -308,9 +290,9 @@ class StiefelConstraint:
         L -> W + W^T, where column j of W is 2 K_j L[:, j] and
         K_j = X^T Diag(mask[:, j]) X.  That operator is assembled as a
         q x q matrix B in the orthonormal basis E_ii, (E_ij + E_ji) / sqrt(2)
-        (i < j) of Sym(p): the p matrices K_j cost O(n p^3), and their
-        entries land in B by index maps that depend on p alone.  Each call
-        solves with B + delta I, delta = MASKED_GRAM_SHIFT tr(B) / q: B is
+        (i < j) of Sym(p): the p matrices K_j cost O(n p^3), and placing
+        their entries O(q p^2) time and memory.  Each call solves with
+        B + delta I, delta = MASKED_GRAM_SHIFT tr(B) / q, at O(q^3): B is
         singular where two columns have disjoint supports, and the shift
         keeps the solve definite.  Raises IllConditioned when tr(B) = 0.
         """
@@ -319,19 +301,29 @@ class StiefelConstraint:
         if mask is None:
             sylvester = sym_sylvester_solver(X.T @ X)
             return lambda b: sylvester(b / 2.0)
+        p, q = self.p, self.q
         Xt = np.ascontiguousarray(X.T)
         # p products of p x n by n x p: a single n x p^2 temporary is slower
         K = np.stack([(Xt * m) @ X for m in np.ascontiguousarray(mask.T)])
-        rows, cols, t, index, weight = _sym_gram_maps(self.p)
-        B = (weight * K.ravel()[index]).sum(axis=0)
+        rows, cols, t = _sym_basis(p)
+        # U[k, a, b] = <e_c e_d^T, W + W^T> / 2 for L = e_a e_b^T, where
+        # W = 2 K_b e_a e_b^T: nonzero only in the columns b = d and b = c
+        k = np.arange(q)
+        U = np.zeros((q, p, p))
+        U[k, :, cols] = K[cols, rows]
+        U[k, :, rows] += K[rows, cols]
+        U = U.reshape(q, p * p)
+        B = U[:, rows * p + cols]
+        B += U[:, cols * p + rows]
+        B *= 4.0 * np.outer(t, t)
         trace = np.trace(B)
         if not trace > 0.0:
             raise IllConditioned(f"masked Gram matrix has trace {trace}")
-        B.flat[:: self.q + 1] += MASKED_GRAM_SHIFT * trace / self.q
+        B.flat[:: q + 1] += MASKED_GRAM_SHIFT * trace / q
 
         def solve(b: np.ndarray) -> np.ndarray:
             # coordinates <E_k, b> in, L = sum_k y_k E_k out
-            L = np.zeros((self.p, self.p))
+            L = np.zeros((p, p))
             L[rows, cols] = t * np.linalg.solve(B, t * (b[rows, cols] + b[cols, rows]))
             return L + L.T
 

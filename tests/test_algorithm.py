@@ -281,6 +281,29 @@ class TestTangentIntersectionProject:
         assert res.status is RunStatus.MAX_ITER
         assert iters == [1] * 21
 
+    @pytest.mark.parametrize("p", [10, 11])
+    def test_masked_preconditioner_only_up_to_max_q(self, rng, monkeypatch, p):
+        # q = 55 is the largest q with the masked inverse; at q = 66 it would
+        # cost more than the CG iterations it saves, so CG keeps the
+        # caller's unmasked (Dh Dh*)^-1
+        assert algorithm.MASKED_GRAM_MAX_Q == 55
+        iters = self.spy_on_pcg(monkeypatch)
+        X = random_support_point(rng, 40, p, 300)
+        man, C = SparsityManifold(40, p, 300), StiefelConstraint(40, p)
+        gram = C.gram_solver(X)
+        calls = []
+        solver = C.gram_solver
+        monkeypatch.setattr(C, "gram_solver", lambda *args: calls.append(args) or solver(*args))
+        xi = rng.standard_normal(X.shape)
+        out = tangent_intersection_project(man, C, X, xi, gram)
+        loop = loop_tangent_intersection_project(man, C, X, xi)
+        assert np.linalg.norm(out - loop) <= 1e-10 * np.linalg.norm(xi)
+        if C.q <= algorithm.MASKED_GRAM_MAX_Q:
+            assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X)
+            assert iters == [1]
+        else:
+            assert calls == [] and iters[0] > 1
+
     def test_fixed_rank_pairs_get_no_mask(self, rng, monkeypatch, pair):
         # a fixed-rank tangent projection is not a mask, so CG keeps the
         # unmasked (Dh Dh*)^-1, from the caller or built here
@@ -323,6 +346,29 @@ class TestTangentIntersectionProject:
                 assert abs(x - y) <= 1e-10 * abs(y)
             for x, y in ((a.feas_norm, b.feas_norm), (a.gh_norm, b.gh_norm)):
                 assert abs(x - y) <= 1e-9 * abs(y) + 1e-12
+
+    def test_masked_route_trace_matches_exact_projection(self, monkeypatch):
+        # with the masked preconditioner (q = 55) a modes run follows the
+        # exact projection to rounding: 1e-12 relative in f and ||G_f||,
+        # and in ||h|| and ||G_h|| up to an absolute 1e-14, since ||h|| is
+        # a difference of order-one terms (X^T X - I) and its rounding is
+        # absolute; CG preconditioned by (Dh Dh*)^-1 and stopped at
+        # PCG_TOL needs an absolute 3e-14 on this run
+        data = gen_modes_problem(256, 10, 50.0, 0.6)
+        problem = make_modes_problem(data)
+        x0 = init_modes(data, 0)
+        config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=200, tol=0.0)
+        pcg_run = gotd_run(problem, x0, config)
+        monkeypatch.setattr(
+            algorithm, "tangent_intersection_project", loop_tangent_intersection_project
+        )
+        loop_run = gotd_run(problem, x0, config)
+        assert len(pcg_run.trace) == len(loop_run.trace) == 201
+        for a, b in zip(pcg_run.trace, loop_run.trace):
+            for x, y in ((a.f_value, b.f_value), (a.gf_norm, b.gf_norm)):
+                assert abs(x - y) <= 1e-12 * abs(y)
+            for x, y in ((a.feas_norm, b.feas_norm), (a.gh_norm, b.gh_norm)):
+                assert abs(x - y) <= 1e-12 * abs(y) + 1e-14
 
 
 class TestOptimalityDirection:
