@@ -27,16 +27,13 @@ from .solvers import pcg
 # no caller here; perfbench/test_checks.py checks that its tracer wraps this name
 from .solvers import pinv_apply  # noqa: F401
 
-PCG_TOL = 1e-12
+# relative residual at which CG stops.  With the Jacobi preconditioner of a
+# mask, 1e-12 took a 200-step modes run (n = 256, p = 10) off the exact
+# projection's trace by 1.5x of 1e-12 relative + 1e-14 absolute in ||h||
+# and ||G_h||; 1e-13 keeps it at 0.26x (0.74x at n = 128, p = 12)
+PCG_TOL = 1e-13
 # CG ends in at most q steps in exact arithmetic; the slack absorbs rounding
 PCG_ITERS_PER_DIM = 2
-# largest multiplier dimension q at which the projector preconditions with
-# the masked Gram inverse.  Its O(n p^3 + q^3) build replaces all but one
-# CG iteration; on modes runs (n = 64..16384, one BLAS thread) a step took
-# 0.54-1.11x as long with it up to p = 10 (q = 55), above 1 only at
-# n = 4096 and within noise, but 0.55-1.11x at p = 11-12, above 1 for
-# n >= 1024, and 1.06-1.60x at p = 16
-MASKED_GRAM_MAX_Q = 55
 
 
 @dataclass
@@ -151,11 +148,9 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
     B is applied matrix-free through the contract maps and the system is
     solved by conjugate gradients.  Where P_T is a coordinate mask
     (``manifold.tangent_mask(point)`` is not None), B = Dh Diag(mask) Dh*,
-    and for q <= ``MASKED_GRAM_MAX_Q`` the preconditioner is its inverse,
-    ``constraint.gram_solver(point, mask)``, so CG ends after one
-    iteration unless B is badly conditioned on its range.  Otherwise,
-    including a mask at larger q, where that inverse costs more than the
-    iterations it saves, it is the inverse of Dh Dh*, ``gram``
+    and the preconditioner is the inverse of its diagonal,
+    ``constraint.gram_solver(point, mask)``, at O(n p^2) for the Stiefel
+    map.  Otherwise it is the inverse of Dh Dh*, ``gram``
     (``constraint.gram_solver(point)`` unless the caller has it
     already).  B = Phi^T Phi may be singular (for instance at a
     sparsity point whose columns have disjoint supports), but the
@@ -170,7 +165,7 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
     mask = manifold.tangent_mask(point)
-    if mask is not None and constraint.q <= MASKED_GRAM_MAX_Q:
+    if mask is not None:
         gram = constraint.gram_solver(point, mask)
     elif gram is None:
         gram = constraint.gram_solver(point)
@@ -205,9 +200,10 @@ def optimality_direction(problem: Problem, point, grad=None, gram=None):
 
 def _evaluate(problem: Problem, point):
     """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
-    gradient, one of h and one factorization of Dh Dh*; G_f factors the
-    masked Gram matrix instead where the tangent projection is a mask and
-    q is small (see :func:`tangent_intersection_project`)."""
+    gradient, one of h and one factorization of Dh Dh*; G_f is
+    preconditioned by the diagonal of the masked Gram matrix instead where
+    the tangent projection is a mask (see
+    :func:`tangent_intersection_project`)."""
     f_val, grad = _value_and_gradient(problem, point)
     f_val = problem.f(point) if f_val is None else f_val
     constraint = problem.constraint
@@ -234,7 +230,7 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     projections, so a factored iterate stays factored through the step.
     Each iterate is evaluated once: ``value_and_grad`` (or ``grad_f`` and
     ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions
-    unless the tangent projection is a mask and q is small (see
+    unless the tangent projection is a mask (see
     :func:`tangent_intersection_project`).
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  A non-finite

@@ -2,10 +2,10 @@
 
 Three instances share one contract -- ``value``, ``dh`` (differential),
 ``dh_adjoint``, ``gram_solver(X, mask=None)`` (the inverse of
-Dh Diag(mask) Dh*, Dh Dh* without a mask, factored once at a point and
-returned as a callable), ``gram_solve`` (one solve by the unmasked
-inverse) and ``project`` (metric projection onto H), each checking its
-operands against the constraint's ``shape``:
+diag(Dh Diag(mask) Dh*), or of Dh Dh* without a mask, factored once at a
+point and returned as a callable), ``gram_solve`` (one solve by the
+unmasked inverse) and ``project`` (metric projection onto H), each
+checking its operands against the constraint's ``shape``:
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -18,16 +18,15 @@ the adjoint identities hold under the Frobenius inner product.  Either way
 q is the dimension of the multiplier space.  The oblique and hyperboloid
 Dh Dh* are diagonal and share one solve.  A mask is the 0/1 array that a
 manifold's tangent projection multiplies by (``tangent_mask``), so the
-masked inverse is the exact inverse of the reduced Gram operator
-Dh P_T Dh* there.
+masked solve is the inverse of the diagonal of the reduced Gram operator
+Dh P_T Dh* there: exact for the oblique and hyperboloid maps, a Jacobi
+preconditioner for the Stiefel map.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
 work on the factors of a fixed-rank point, at O((m + n) r^2) for a
 factored direction; the Stiefel map acts on the ambient matrix.
 """
-
-import functools
 
 import numpy as np
 
@@ -40,8 +39,6 @@ SECULAR_MAX_ITER = 100
 # a secular bracket this narrow has closed to rounding: for |mu| >= 1/2 its
 # ends are adjacent doubles
 BRACKET_WIDTH = 0.5 * np.finfo(float).eps
-# shift of the masked Stiefel Gram matrix, relative to its mean eigenvalue
-MASKED_GRAM_SHIFT = 1e-13
 
 
 def _check_shape(constraint, X, Z=None):
@@ -242,18 +239,6 @@ class HyperboloidConstraint:
         return x
 
 
-@functools.lru_cache(maxsize=16)
-def _sym_basis(p: int):
-    """(c, d, t) over the orthonormal basis E_k = t_k (e_c e_d^T + e_d e_c^T)
-    of Sym(p), k = (c, d) with c <= d in ``np.triu_indices`` order, t_k = 1/2
-    for c = d and 1/sqrt(2) else; three read-only q-vectors."""
-    rows, cols = np.triu_indices(p)
-    t = np.where(rows == cols, 0.5, np.sqrt(0.5))
-    for arr in (rows, cols, t):
-        arr.flags.writeable = False
-    return rows, cols, t
-
-
 class StiefelConstraint:
     """h(X) = X^T X - I_p on R^{n x p}, a symmetric p x p matrix; zero set =
     orthonormal columns.  q = p (p + 1) / 2, the dimension of Sym(p)."""
@@ -283,51 +268,34 @@ class StiefelConstraint:
         return as_dense(X) @ (lam + lam.T)
 
     def gram_solver(self, X, mask=None):
-        """Invert Dh Diag(mask) Dh* on Sym(p).
+        """Invert Dh Dh* on Sym(p) without a mask, and the diagonal of
+        Dh Diag(mask) Dh* with one.
 
         Without a mask this is L -> 2 (G L + L G) with G = X^T X, whose
-        eigendecomposition is taken once here.  With one it is
-        L -> W + W^T, where column j of W is 2 K_j L[:, j] and
-        K_j = X^T Diag(mask[:, j]) X.  That operator is assembled as a
-        q x q matrix B in the orthonormal basis E_ii, (E_ij + E_ji) / sqrt(2)
-        (i < j) of Sym(p): the p matrices K_j cost O(n p^3), and placing
-        their entries O(q p^2) time and memory.  Each call solves with
-        B + delta I, delta = MASKED_GRAM_SHIFT tr(B) / q, at O(q^3): B is
-        singular where two columns have disjoint supports, and the shift
-        keeps the solve definite.  Raises IllConditioned when tr(B) = 0.
+        eigendecomposition is taken once here.  With one, the diagonal of
+        Dh Diag(mask) Dh* in the orthonormal basis E_ii,
+        (E_ij + E_ji) / sqrt(2) (i < j) of Sym(p) is Delta_ij =
+        2 (D_ij + D_ji) with D = (X o X)^T mask, the squared norms of the
+        columns of X restricted to the supports of the columns of mask:
+        O(n p^2) to build, and each call divides b by Delta elementwise.
+        Delta_ij = 0 where columns i and j have disjoint supports; that
+        coordinate of Dh Diag(mask) Dh*, and of every vector in its range,
+        is an exact zero, and the solve returns 0 there.  Raises
+        IllConditioned when Delta is all zero.
         """
         _check_shape(self, X, mask)
         X = as_dense(X)
         if mask is None:
             sylvester = sym_sylvester_solver(X.T @ X)
             return lambda b: sylvester(b / 2.0)
-        p, q = self.p, self.q
-        Xt = np.ascontiguousarray(X.T)
-        # p products of p x n by n x p: a single n x p^2 temporary is slower
-        K = np.stack([(Xt * m) @ X for m in np.ascontiguousarray(mask.T)])
-        rows, cols, t = _sym_basis(p)
-        # U[k, a, b] = <e_c e_d^T, W + W^T> / 2 for L = e_a e_b^T, where
-        # W = 2 K_b e_a e_b^T: nonzero only in the columns b = d and b = c
-        k = np.arange(q)
-        U = np.zeros((q, p, p))
-        U[k, :, cols] = K[cols, rows]
-        U[k, :, rows] += K[rows, cols]
-        U = U.reshape(q, p * p)
-        B = U[:, rows * p + cols]
-        B += U[:, cols * p + rows]
-        B *= 4.0 * np.outer(t, t)
-        trace = np.trace(B)
+        D = (X * X).T @ mask
+        delta = 2.0 * (D + D.T)
+        # the trace of Dh Diag(mask) Dh*, the sum of Delta_ij over i <= j
+        trace = 0.5 * (delta.sum() + np.trace(delta))
         if not trace > 0.0:
             raise IllConditioned(f"masked Gram matrix has trace {trace}")
-        B.flat[:: q + 1] += MASKED_GRAM_SHIFT * trace / q
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            # coordinates <E_k, b> in, L = sum_k y_k E_k out
-            L = np.zeros((p, p))
-            L[rows, cols] = t * np.linalg.solve(B, t * (b[rows, cols] + b[cols, rows]))
-            return L + L.T
-
-        return solve
+        nonzero = delta > 0.0
+        return lambda b: np.divide(b, delta, out=np.zeros_like(delta), where=nonzero)
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)

@@ -8,6 +8,7 @@ from gotd import (
     DomainViolation,
     FixedRankManifold,
     GotdConfig,
+    HyperbolicFitProblem,
     HyperboloidConstraint,
     IllConditioned,
     NotConverged,
@@ -24,9 +25,11 @@ from gotd import (
     gen_sphere_data,
     gotd_run,
     gotd_step,
+    init_hyperbolic,
     init_modes,
     init_sphere,
     lyapunov_value,
+    make_hyperbolic_problem,
     make_modes_problem,
     make_sphere_problem,
     optimality_direction,
@@ -260,34 +263,26 @@ class TestTangentIntersectionProject:
         monkeypatch.setattr(algorithm, "pcg", spy)
         return iters
 
-    @pytest.mark.parametrize("disjoint", [False, True])
-    def test_masked_preconditioner_ends_cg_in_one_iteration(self, rng, monkeypatch, disjoint):
-        # where P_T is a mask the preconditioner is B^-1 itself, also where
-        # B is singular
-        iters = self.spy_on_pcg(monkeypatch)
-        X = disjoint_support_point(rng) if disjoint else random_support_point(rng, 40, 5, 120)
-        man, C = SparsityManifold(*X.shape, X.nnz), StiefelConstraint(*X.shape)
-        for _ in range(5):
-            tangent_intersection_project(man, C, X, rng.standard_normal(X.shape))
-        assert iters == [1] * 5
-
-    def test_modes_run_ends_cg_in_one_iteration(self, monkeypatch):
-        # the run hands the projector its unmasked Gram solver for G_h;
-        # the mask still decides the preconditioner of G_f
-        iters = self.spy_on_pcg(monkeypatch)
-        data = gen_modes_problem(64, 4, 50.0, 0.6)
+    def test_masked_preconditioner_cuts_modes_cg_iterations(self, monkeypatch):
+        # on a modes run the mask's Jacobi preconditioner takes fewer CG
+        # iterations than the caller's unmasked (Dh Dh*)^-1
+        data = gen_modes_problem(256, 10, 50.0, 0.6)
+        problem = make_modes_problem(data)
         config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=20, tol=0.0)
-        res = gotd_run(make_modes_problem(data), init_modes(data, 0), config)
-        assert res.status is RunStatus.MAX_ITER
-        assert iters == [1] * 21
+        totals = []
+        for unmasked in (False, True):
+            iters = self.spy_on_pcg(monkeypatch)
+            if unmasked:
+                monkeypatch.setattr(problem.manifold, "tangent_mask", lambda X: None)
+            res = gotd_run(problem, init_modes(data, 0), config)
+            assert res.status is RunStatus.MAX_ITER and len(iters) == 21
+            totals.append(sum(iters))
+        assert totals[0] < totals[1]
 
     @pytest.mark.parametrize("p", [10, 11])
-    def test_masked_preconditioner_only_up_to_max_q(self, rng, monkeypatch, p):
-        # q = 55 is the largest q with the masked inverse; at q = 66 it would
-        # cost more than the CG iterations it saves, so CG keeps the
-        # caller's unmasked (Dh Dh*)^-1
-        assert algorithm.MASKED_GRAM_MAX_Q == 55
-        iters = self.spy_on_pcg(monkeypatch)
+    def test_mask_reaches_gram_solver_at_any_q(self, rng, monkeypatch, p):
+        # q = 55 and 66: the projector asks for the masked solver, and not
+        # for the caller's unmasked (Dh Dh*)^-1, at every q
         X = random_support_point(rng, 40, p, 300)
         man, C = SparsityManifold(40, p, 300), StiefelConstraint(40, p)
         gram = C.gram_solver(X)
@@ -298,11 +293,7 @@ class TestTangentIntersectionProject:
         out = tangent_intersection_project(man, C, X, xi, gram)
         loop = loop_tangent_intersection_project(man, C, X, xi)
         assert np.linalg.norm(out - loop) <= 1e-10 * np.linalg.norm(xi)
-        if C.q <= algorithm.MASKED_GRAM_MAX_Q:
-            assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X)
-            assert iters == [1]
-        else:
-            assert calls == [] and iters[0] > 1
+        assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X)
 
     def test_fixed_rank_pairs_get_no_mask(self, rng, monkeypatch, pair):
         # a fixed-rank tangent projection is not a mask, so CG keeps the
@@ -347,14 +338,14 @@ class TestTangentIntersectionProject:
             for x, y in ((a.feas_norm, b.feas_norm), (a.gh_norm, b.gh_norm)):
                 assert abs(x - y) <= 1e-9 * abs(y) + 1e-12
 
-    def test_masked_route_trace_matches_exact_projection(self, monkeypatch):
-        # with the masked preconditioner (q = 55) a modes run follows the
-        # exact projection to rounding: 1e-12 relative in f and ||G_f||,
+    @pytest.mark.parametrize("n, p", [(256, 10), (128, 12)])
+    def test_masked_route_trace_matches_exact_projection(self, monkeypatch, n, p):
+        # with the masked preconditioner (q = 55 and 78) a modes run follows
+        # the exact projection to rounding: 1e-12 relative in f and ||G_f||,
         # and in ||h|| and ||G_h|| up to an absolute 1e-14, since ||h|| is
         # a difference of order-one terms (X^T X - I) and its rounding is
-        # absolute; CG preconditioned by (Dh Dh*)^-1 and stopped at
-        # PCG_TOL needs an absolute 3e-14 on this run
-        data = gen_modes_problem(256, 10, 50.0, 0.6)
+        # absolute; CG stopped at 1e-12 instead of PCG_TOL misses it
+        data = gen_modes_problem(n, p, 50.0, 0.6)
         problem = make_modes_problem(data)
         x0 = init_modes(data, 0)
         config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=200, tol=0.0)
@@ -627,6 +618,22 @@ class TestStepAndRun:
         res = gotd_run(prob, X0, GotdConfig(alpha=1.0, beta=1.0, max_iter=10, tol=0.0,
                                             trace_every=4))
         assert [rec.iteration for rec in res.trace] == [0, 4, 8, 10]
+
+    def test_strong_signal_hyperbolic_run_converges(self):
+        # gen_hyperbolic_data's instance at seed 0 with a signal of scale 2
+        # in place of 0.5: ||G_f|| has a floor of the order of
+        # PCG_TOL ||Dh xi_bar||, which sat at 2.5e-10, above this tol,
+        # when CG stopped at 1e-12
+        n, m, r, tail = 20, 400, 3, 0.3
+        rng = np.random.default_rng(0)
+        Z = 2.0 * rng.standard_normal((r, m))
+        W = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        spatial = W @ Z + tail * rng.standard_normal((n, m))
+        top = np.sqrt(1.0 + np.einsum("ij,ij->j", spatial, spatial))
+        data = HyperbolicFitProblem(np.vstack([top, spatial]), n, m, r, 0, tail)
+        config = GotdConfig(alpha=1.0, beta=0.2, max_iter=6000, tol=1e-10)
+        res = gotd_run(make_hyperbolic_problem(data, r), init_hyperbolic(data, r), config)
+        assert res.status is RunStatus.CONVERGED
 
     def test_modes_run_matches_hard_threshold_oracle(self, monkeypatch):
         # every retraction of the run keeps the support and selects

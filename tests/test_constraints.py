@@ -227,13 +227,16 @@ class TestGramSolve:
 
 class TestMaskedGramSolver:
     @staticmethod
-    def oracle(X):
-        """The Stiefel masked Gram solver at a sparse point X, the oracle
-        B of its reduced Gram operator, and the basis of B's coordinates."""
+    def coordinates(X, b):
+        """The masked Stiefel solve of a p x p matrix b at a sparse point X,
+        the diagonal of the oracle B of its reduced Gram operator, and the
+        coordinates of b and of the solve in B's basis."""
         n, p = X.shape
         C = StiefelConstraint(n, p)
         B = reduced_gram_matrix(SparsityManifold(n, p, X.nnz), C, X)
-        return C.gram_solver(X, X.mask), B, multiplier_basis(C, X)
+        basis = multiplier_basis(C, X)
+        out = C.gram_solver(X, X.mask)(b)
+        return out, np.diag(B), [np.vdot(E, b) for E in basis], [np.vdot(E, out) for E in basis]
 
     @given(
         n=st.integers(1, 8),
@@ -242,38 +245,32 @@ class TestMaskedGramSolver:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=5, p=1, density=0.6, seed=0)  # q = 1
-    def test_stiefel_matches_reduced_gram_oracle(self, n, p, density, seed):
-        # the solver applied to B L returns L for L (coordinates y) in the
-        # range of B: up to its numerical kernel (eigenvalues below
-        # 1e-10 lambda_max, which Phi maps to rounding), and up to the
-        # shift delta = 1e-13 tr(B) / q, which moves the solution by at
-        # most delta / lambda_min <= 1e-13 kappa relative, with kappa the
-        # condition number of B on its range
+    def test_stiefel_divides_by_reduced_gram_diagonal(self, n, p, density, seed):
+        # the solve is the Jacobi preconditioner of B: each coordinate is
+        # divided by B_kk, and set to 0 where B_kk = 0
         rng = np.random.default_rng(seed)
         X = random_support_point(rng, n, p, max(1, round(density * n * p)))
-        solve, B, basis = self.oracle(X)
-        w, V = np.linalg.eigh(B)
-        in_range = w > 1e-10 * w[-1]
-        R, kappa = V[:, in_range], w[-1] / w[in_range][0]
-        for _ in range(3):
-            y = R @ rng.standard_normal(R.shape[1])
-            out = solve(sum(c * E for c, E in zip(B @ y, basis)))
-            assert np.array_equal(out, out.T)
-            err = np.array([np.vdot(E, out) for E in basis]) - y
-            assert np.linalg.norm(B @ err) <= 1e-10 * w[-1] * np.linalg.norm(y)
-            assert np.linalg.norm(R.T @ err) <= (1e-10 + 2e-13 * kappa) * np.linalg.norm(y)
+        b = rng.standard_normal((p, p))
+        out, diag, coords_b, coords_out = self.coordinates(X, b + b.T)
+        assert np.array_equal(out, out.T)
+        for d, y, z in zip(diag, coords_b, coords_out):
+            if d == 0.0:
+                assert z == 0.0
+            else:
+                assert abs(z - y / d) <= 1e-12 * abs(y / d)
 
-    def test_stiefel_singular_reduced_gram(self, rng):
-        # the kernel of B is the coordinate of the off-diagonal multiplier
-        # of columns 0 and 1, where B and the right-hand side are exact
-        # zeros, so the shifted solve returns L itself
-        solve, B, basis = self.oracle(disjoint_support_point(rng))
-        assert np.linalg.eigvalsh(B)[0] == 0.0
-        for _ in range(3):
-            y = B @ rng.standard_normal(len(basis))
-            L = sum(c * E for c, E in zip(y, basis))
-            out = solve(sum(c * E for c, E in zip(B @ y, basis)))
-            assert np.linalg.norm(out - L) <= 1e-10 * np.linalg.norm(L)
+    def test_stiefel_disjoint_supports_give_exact_zeros(self, rng):
+        # columns 0 and 1 have disjoint supports, so B_kk = 0 for their
+        # off-diagonal multiplier, the projector's right-hand sides are
+        # exact zeros there, and so is the solve
+        X = disjoint_support_point(rng)
+        b = rng.standard_normal((3, 3))
+        out, diag, _, _ = self.coordinates(X, b + b.T)
+        assert [k for k, d in enumerate(diag) if d == 0.0] == [1]
+        assert out[0, 1] == out[1, 0] == 0.0
+        man, C = SparsityManifold(6, 3, X.nnz), StiefelConstraint(6, 3)
+        rhs = C.dh(X, man.tangent_project(X, rng.standard_normal((6, 3))))
+        assert rhs[0, 1] == rhs[1, 0] == 0.0
 
     @pytest.mark.parametrize("kind", ["oblique", "hyperboloid"])
     @given(density=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
