@@ -115,29 +115,24 @@ class GotdResult:
         return self.trace[-1].iteration if self.trace else 0
 
 
-def gauss_newton_direction(constraint, X, hv=None, gram=None):
+def gauss_newton_direction(constraint, X, hv=None):
     """d = -Dh* (Dh Dh*)^{-1} h(X): the least-squares step toward {h = 0}
     within the normal space of the level set through X.
 
-    ``hv`` is h(X) and ``gram`` is ``constraint.gram_solver(X)`` when the
-    caller has them already.
+    ``hv`` is h(X) when the caller has it already.
     """
     if hv is None:
         hv = constraint.value(X)
-    if gram is None:
-        gram = constraint.gram_solver(X)
-    return -constraint.dh_adjoint(X, gram(hv))
+    return -constraint.dh_adjoint(X, constraint.gram_solver(X)(hv))
 
 
-def feasibility_direction(manifold, constraint, point, hv=None, gram=None):
+def feasibility_direction(manifold, constraint, point, hv=None):
     """Gauss--Newton direction projected onto the tangent space of M;
-    ``hv`` and ``gram`` as in :func:`gauss_newton_direction`."""
-    return manifold.tangent_project(
-        point, gauss_newton_direction(constraint, point, hv, gram)
-    )
+    ``hv`` as in :func:`gauss_newton_direction`."""
+    return manifold.tangent_project(point, gauss_newton_direction(constraint, point, hv))
 
 
-def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
+def tangent_intersection_project(manifold, constraint, point, xi):
     """Orthogonal projection of xi onto S(X), the part of the tangent
     space of M annihilated by Dh_X.
 
@@ -146,34 +141,33 @@ def tangent_intersection_project(manifold, constraint, point, xi, gram=None):
         P_S(xi) = xi_bar - Phi(lam),   B lam = Dh(xi_bar),   xi_bar = P_T(xi).
 
     B is applied matrix-free through the contract maps and the system is
-    solved by conjugate gradients.  Where P_T is a coordinate mask
-    (``manifold.tangent_mask(point)`` is not None), B = Dh Diag(mask) Dh*,
-    and the preconditioner is the inverse of its diagonal,
-    ``constraint.gram_solver(point, mask)``, at O(n p^2) for the Stiefel
-    map.  Otherwise it is the inverse of Dh Dh*, ``gram``
-    (``constraint.gram_solver(point)`` unless the caller has it
-    already).  B = Phi^T Phi may be singular (for instance at a
-    sparsity point whose columns have disjoint supports), but the
-    right-hand side Phi^T xi_bar lies in its range, CG from zero stays
-    there, and every solution gives the same Phi(lam).  CG raises
-    NotConverged when it misses ``PCG_TOL`` within its budget.
+    solved by conjugate gradients, which apply Phi once per iteration and
+    return Phi(lam): from the one image they formed when they end after
+    one iteration (the sphere and hyperbolic pairs), so the projection
+    then costs one ``dh_adjoint``, and by one more Phi otherwise.  The
+    preconditioner is
+    ``constraint.reduced_gram_solver(point, manifold.tangent_mask(point))``:
+    the exact B^-1 for the oblique map, for the hyperboloid map at a
+    fixed-rank point (O(m s^2) to build, so CG ends after one iteration)
+    and for both under a mask; for the Stiefel map, the inverse of B's
+    diagonal under a mask and of Dh Dh* without one.  B = Phi^T Phi may
+    be singular (for instance at a sparsity point whose columns have
+    disjoint supports), but the right-hand side Phi^T xi_bar lies in its
+    range, CG from zero stays there, and every solution gives the same
+    Phi(lam).  CG raises NotConverged when it misses ``PCG_TOL`` within
+    its budget.
     """
     xi_bar = manifold.tangent_project(point, xi)
-    rhs = constraint.dh(point, xi_bar)
 
     def phi(lam):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
-    mask = manifold.tangent_mask(point)
-    if mask is not None:
-        gram = constraint.gram_solver(point, mask)
-    elif gram is None:
-        gram = constraint.gram_solver(point)
-    lam = pcg(
-        lambda lam: constraint.dh(point, phi(lam)), rhs, precond=gram,
-        tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q,
-    ).x
-    return xi_bar - phi(lam)
+    precond = constraint.reduced_gram_solver(point, manifold.tangent_mask(point))
+    phi_lam = pcg(
+        lambda z: constraint.dh(point, z), constraint.dh(point, xi_bar), precond,
+        tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q, lift=phi,
+    ).lifted
+    return xi_bar - phi_lam
 
 
 def _value_and_gradient(problem: Problem, point):
@@ -183,34 +177,29 @@ def _value_and_gradient(problem: Problem, point):
     return None, problem.grad_f(point)
 
 
-def optimality_direction(problem: Problem, point, grad=None, gram=None):
+def optimality_direction(problem: Problem, point, grad=None):
     """Projection of -grad f onto S(X) by
     :func:`tangent_intersection_project`.
 
     ``grad`` is the gradient at the point when the caller has it already
-    (it may be tangent-projected), and ``gram`` the constraint's Gram
-    solver there.  Without ``grad`` it is read as :func:`gotd_run` reads it.
+    (it may be tangent-projected); without it, it is read as
+    :func:`gotd_run` reads it.
     """
     if grad is None:
         grad = _value_and_gradient(problem, point)[1]
-    return tangent_intersection_project(
-        problem.manifold, problem.constraint, point, -grad, gram
-    )
+    return tangent_intersection_project(problem.manifold, problem.constraint, point, -grad)
 
 
 def _evaluate(problem: Problem, point):
     """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
-    gradient, one of h and one factorization of Dh Dh*; G_f is
-    preconditioned by the diagonal of the masked Gram matrix instead where
-    the tangent projection is a mask (see
+    gradient and one of h; G_h factors Dh Dh*, and G_f builds the
+    preconditioner of its reduced Gram operator (see
     :func:`tangent_intersection_project`)."""
     f_val, grad = _value_and_gradient(problem, point)
     f_val = problem.f(point) if f_val is None else f_val
-    constraint = problem.constraint
-    hv = constraint.value(point)
-    gram = constraint.gram_solver(point)
-    gh = feasibility_direction(problem.manifold, constraint, point, hv, gram)
-    gf = optimality_direction(problem, point, grad, gram)
+    hv = problem.constraint.value(point)
+    gh = feasibility_direction(problem.manifold, problem.constraint, point, hv)
+    gf = optimality_direction(problem, point, grad)
     return float(f_val), float(np.linalg.norm(hv)), gh, gf
 
 
@@ -229,9 +218,7 @@ def gotd_run(problem: Problem, x0, config: GotdConfig) -> GotdResult:
     The point itself is handed to the objective, the constraint and the
     projections, so a factored iterate stays factored through the step.
     Each iterate is evaluated once: ``value_and_grad`` (or ``grad_f`` and
-    ``f``), ``h`` and the Gram solver of Dh Dh*, shared by both directions
-    unless the tangent projection is a mask (see
-    :func:`tangent_intersection_project`).
+    ``f``) and ``h``, then the two directions.
     The trace records every ``trace_every``-th iterate plus the final
     one; wall time is measured from the first iteration.  A non-finite
     or huge value, or a non-finite extra metric, raises ``Diverged``; it

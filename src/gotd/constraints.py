@@ -1,11 +1,12 @@
 """Level-set constraint maps h with zero set H = {h = 0}.
 
 Three instances share one contract -- ``value``, ``dh`` (differential),
-``dh_adjoint``, ``gram_solver(X, mask=None)`` (the inverse of
-diag(Dh Diag(mask) Dh*), or of Dh Dh* without a mask, factored once at a
-point and returned as a callable), ``gram_solve`` (one solve by the
-unmasked inverse) and ``project`` (metric projection onto H), each
-checking its operands against the constraint's ``shape``:
+``dh_adjoint``, ``gram_solver(X)`` (the inverse of Dh Dh*, factored once
+at a point and returned as a callable), ``gram_solve`` (one solve by it),
+``reduced_gram_solver(X, mask)`` (a preconditioner for the reduced Gram
+operator B = Dh P_T Dh* at a point X of the inner manifold, also a
+callable) and ``project`` (metric projection onto H), each checking its
+operands against the constraint's ``shape``:
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -16,11 +17,16 @@ The oblique and hyperboloid values and multipliers are vectors in R^q;
 the Stiefel value X^T X - I and its multipliers are p x p matrices, and
 the adjoint identities hold under the Frobenius inner product.  Either way
 q is the dimension of the multiplier space.  The oblique and hyperboloid
-Dh Dh* are diagonal and share one solve.  A mask is the 0/1 array that a
-manifold's tangent projection multiplies by (``tangent_mask``), so the
-masked solve is the inverse of the diagonal of the reduced Gram operator
-Dh P_T Dh* there: exact for the oblique and hyperboloid maps, a Jacobi
-preconditioner for the Stiefel map.
+Dh Dh* are diagonal and share one solve.
+
+``mask`` is the manifold's ``tangent_mask(X)``: the 0/1 array that P_T
+multiplies by, or None for the fixed-rank tangent projection at X's own
+factors.  The reduced Gram solver is the exact B^-1 for the oblique map
+(Dh* lam is already tangent, so B = Dh Dh*), for the hyperboloid map at a
+fixed-rank point (B is a diagonal plus a rank-s term, inverted by the
+Woodbury identity) and for both under a mask that covers X's support.
+The Stiefel map gives the inverse of B's diagonal under a mask (a Jacobi
+preconditioner) and (Dh Dh*)^-1 without one.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
@@ -39,6 +45,12 @@ SECULAR_MAX_ITER = 100
 # a secular bracket this narrow has closed to rounding: for |mu| >= 1/2 its
 # ends are adjacent doubles
 BRACKET_WIDTH = 0.5 * np.finfo(float).eps
+# the Woodbury form of the hyperboloid's reduced Gram inverse has an error
+# of about eps / rho^2, rho = min_j d_j / ||Sigma v_j||^2: at most 1.4e-9
+# in max |P B - I| measured for rho >= 1e-4, and at rho ~ 1e-12 it stopped
+# being positive definite.  Below this rho the diagonal of Dh Dh*
+# preconditions instead.
+WOODBURY_MIN_RATIO = 1e-4
 
 
 def _check_shape(constraint, X, Z=None):
@@ -93,15 +105,18 @@ class ObliqueConstraint:
             return FixedRankTangent(X.u, X.v, M, L - X.u @ M, np.zeros_like(X.v))
         return 2.0 * lam[:, None] * as_dense(X)
 
-    def gram_solver(self, X, mask=None):
-        """Dh Dh* is diagonal with entries 4 ||row_i||^2.  A mask that
-        covers X's support is ignored: Dh* lam rescales rows of X, so it
-        keeps that support and Dh Diag(mask) Dh* = Dh Dh*."""
+    def gram_solver(self, X):
+        """Dh Dh* is diagonal with entries 4 ||row_i||^2."""
         _check_shape(self, X)
         return _diagonal_solver(4.0 * _row_sq_norms(X), "row")
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
+
+    def reduced_gram_solver(self, X, mask):
+        """B = Dh Dh*: Dh* lam = 2 Diag(lam) X rescales rows of X, so it is
+        tangent at a fixed-rank X and keeps the support a mask covers."""
+        return self.gram_solver(X)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         _check_shape(self, Y)
@@ -157,11 +172,9 @@ class HyperboloidConstraint:
             return LowRankMatrix(2.0 * self._ja(X), lam[:, None] * X.v)
         return 2.0 * (self.j_diag[:, None] * as_dense(X)) * lam[None, :]
 
-    def gram_solver(self, X, mask=None):
+    def gram_solver(self, X):
         """Dh Dh* is diagonal with entries 4 ||col_j||^2 (J^2 = I);
-        ||col_j|| = ||Sigma v_j|| for a fixed-rank point.  A mask that
-        covers X's support is ignored: Dh* lam rescales columns of J X, so
-        it keeps that support and Dh Diag(mask) Dh* = Dh Dh*."""
+        ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
             g = _row_sq_norms(X.v * X.sigma)
@@ -172,6 +185,45 @@ class HyperboloidConstraint:
 
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
+
+    def reduced_gram_solver(self, X, mask):
+        """B^-1 for B = Dh P_T Dh* at a fixed-rank point X = U Sigma V^T.
+
+        With A = U Sigma and w = U^T e_0, U^T J U = I - 2 w w^T, so the
+        part of Dh* lam = 2 J A V^T Diag(lam) that P_T removes enters B
+        through A^T J (I - U U^T) J A = c (Sigma w)(Sigma w)^T with
+        c = 4 (1 - ||w||^2), clamped at 0 against rounding.  With
+        a = V Sigma w and F = Diag(a) V (Vandereycken, SIAM J. Optim. 2013,
+        for the tangent algebra),
+
+            B = 4 (Diag(d) + c F F^T),   d_j = ||Sigma v_j||^2 - c a_j^2,
+
+        with d_j >= 0 by Cauchy-Schwarz, since c ||w||^2 <= 1.  The Woodbury
+        identity (Hager, SIAM Rev. 1989) gives
+
+            B^-1 b = (D^-1 b - c D^-1 F K^-1 F^T D^-1 b) / 4,
+            K = I_s + c F^T D^-1 F,
+
+        K >= I inverted once here: O(m s^2) to build, O(m s) per call.
+        At a dense point, under a mask (Dh* lam rescales columns of J X, so
+        it keeps the support the mask covers and B = Dh Dh*), or where some
+        d_j <= WOODBURY_MIN_RATIO ||Sigma v_j||^2, this is
+        ``gram_solver(X)``.
+        """
+        _check_shape(self, X)
+        if mask is not None or not isinstance(X, FactoredPoint):
+            return self.gram_solver(X)
+        V, w = X.v, X.u[0]
+        c = max(4.0 * (1.0 - w @ w), 0.0)
+        a = V @ (X.sigma * w)
+        g = (V * V) @ (X.sigma * X.sigma)
+        d = g - c * a * a
+        if not np.all(d > WOODBURY_MIN_RATIO * g):
+            return self.gram_solver(X)
+        # D^-1 F = Diag(e) V, so F^T D^-1 F = V^T Diag(a e) V
+        e = a / d
+        W = c * np.linalg.inv(np.eye(X.rank) + c * (V.T @ ((a * e)[:, None] * V)))
+        return lambda b: 0.25 * (b / d - e * (V @ (W @ (V.T @ (e * b)))))
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Columnwise closest point on {x^T J x = -1, x_1 > 0}.
@@ -267,13 +319,22 @@ class StiefelConstraint:
             raise ShapeMismatch(f"expected a {self.p} x {self.p} multiplier")
         return as_dense(X) @ (lam + lam.T)
 
-    def gram_solver(self, X, mask=None):
-        """Invert Dh Dh* on Sym(p) without a mask, and the diagonal of
-        Dh Diag(mask) Dh* with one.
+    def gram_solver(self, X):
+        """Invert Dh Dh* on Sym(p): L -> 2 (G L + L G) with G = X^T X,
+        whose eigendecomposition is taken once here."""
+        _check_shape(self, X)
+        X = as_dense(X)
+        sylvester = sym_sylvester_solver(X.T @ X)
+        return lambda b: sylvester(b / 2.0)
 
-        Without a mask this is L -> 2 (G L + L G) with G = X^T X, whose
-        eigendecomposition is taken once here.  With one, the diagonal of
-        Dh Diag(mask) Dh* in the orthonormal basis E_ii,
+    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
+        return self.gram_solver(X)(b)
+
+    def reduced_gram_solver(self, X, mask):
+        """The inverse of the diagonal of B = Dh Diag(mask) Dh* under a
+        mask, and ``gram_solver(X)`` without one.
+
+        The diagonal of B in the orthonormal basis E_ii,
         (E_ij + E_ji) / sqrt(2) (i < j) of Sym(p) is Delta_ij =
         2 (D_ij + D_ji) with D = (X o X)^T mask, the squared norms of the
         columns of X restricted to the supports of the columns of mask:
@@ -283,11 +344,10 @@ class StiefelConstraint:
         is an exact zero, and the solve returns 0 there.  Raises
         IllConditioned when Delta is all zero.
         """
+        if mask is None:
+            return self.gram_solver(X)
         _check_shape(self, X, mask)
         X = as_dense(X)
-        if mask is None:
-            sylvester = sym_sylvester_solver(X.T @ X)
-            return lambda b: sylvester(b / 2.0)
         D = (X * X).T @ mask
         delta = 2.0 * (D + D.T)
         # the trace of Dh Diag(mask) Dh*, the sum of Delta_ij over i <= j
@@ -296,9 +356,6 @@ class StiefelConstraint:
             raise IllConditioned(f"masked Gram matrix has trace {trace}")
         nonzero = delta > 0.0
         return lambda b: np.divide(b, delta, out=np.zeros_like(delta), where=nonzero)
-
-    def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
-        return self.gram_solver(X)(b)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Polar factor of Y: the closest matrix with orthonormal columns."""

@@ -475,7 +475,8 @@ def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X: FactoredPoint):
     u = _lorentz_gaps(prob, X, P)
     w = _gradient_weights(u)
     f_val = _squared_distance_sum(u)
-    GV = prob.targets @ (w[:, None] * X.v)
+    # (V^T Diag(w)) T^T, an s x (n+1) product, is the faster GEMM layout
+    GV = ((X.v.T * w) @ prob.targets.T).T
     GV[0] = -GV[0]
     return f_val, FixedRankTangent.from_products(X, GV, w[:, None] * P.T)
 

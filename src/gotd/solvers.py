@@ -58,6 +58,7 @@ def pinv_apply(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarr
 class PcgResult(NamedTuple):
     x: np.ndarray
     iters: int
+    lifted: object  # lift(x)
 
 
 def pcg(
@@ -66,31 +67,42 @@ def pcg(
     precond: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_iter: int,
+    lift: Callable[[np.ndarray], object] = lambda v: v,
 ) -> PcgResult:
-    """Preconditioned conjugate gradients for a symmetric PSD operator,
-    given as the callable ``A(v) = A v``, on arrays of any shape under the
-    Frobenius inner product; ``precond`` applies the preconditioner
-    (``lambda r: r`` runs plain CG).
+    """Preconditioned conjugate gradients for the symmetric PSD operator
+    v -> A(lift(v)), given as the two callables, on arrays of any shape
+    under the Frobenius inner product; ``precond`` applies the
+    preconditioner (``lambda r: r`` runs plain CG).
 
-    Stops when ||A x - b|| <= tol * ||b||.  Raises NotConverged when
-    max_iter iterations (possibly none) do not reach that, or when the
-    curvature <p, A p> is not positive; a NaN curvature stops it too.
-    ``A`` and ``precond`` must not modify their argument: no vector is
-    updated in place here, so none is copied.
+    Each iteration lifts its search direction p once, and the result
+    carries ``lifted`` = lift(x).  When CG ends after its first iteration,
+    x = step p, and ``lifted`` is step lift(p), so a caller that needs
+    lift(x) pays no further lift; otherwise it costs one more lift.
+    Summing the lifted directions beside x would cost one update in the
+    lifted space per iteration instead, more than one lift where the lift
+    is as cheap as a masked product (the modes pair).  Without ``lift``,
+    the operator is A and ``lifted`` equals x.
+
+    Stops when ||A lift(x) - b|| <= tol * ||b||.  Raises NotConverged
+    when max_iter iterations (possibly none) do not reach that, or when
+    the curvature <p, A lift(p)> is not positive; a NaN curvature stops it
+    too.  ``A``, ``lift`` and ``precond`` must not modify their argument:
+    no vector is updated in place here, so none is copied.
     """
     b = np.asarray(b, dtype=float)
     # np.linalg.norm, sqrt(<b, b>), bit for bit without its overhead
     nb = math.sqrt(np.vdot(b, b))
     x = np.zeros_like(b)
     if nb == 0.0:
-        return PcgResult(x, 0)
+        return PcgResult(x, 0, lift(x))
     r = b
     z = precond(r)
     p = z
     rz = float(np.vdot(r, z))
     it = 0
     for it in range(1, max_iter + 1):
-        Ap = A(p)
+        lp = lift(p)
+        Ap = A(lp)
         pAp = float(np.vdot(p, Ap))
         if not pAp > 0.0:
             break
@@ -98,7 +110,7 @@ def pcg(
         x = x + step * p
         r = r - step * Ap
         if math.sqrt(np.vdot(r, r)) <= tol * nb:
-            return PcgResult(x, it)
+            return PcgResult(x, it, step * lp if it == 1 else lift(x))
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p

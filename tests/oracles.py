@@ -321,8 +321,10 @@ def qr_retract(X: FactoredPoint, eta) -> FactoredPoint:
 
 class DenseConstraint:
     """A constraint that only ever sees dense ambient matrices, and whose
-    Gram solver factors afresh for every right-hand side: by
-    ``gram_solve``, or with a mask by the inner masked solver."""
+    Gram solvers factor afresh for every right-hand side: by
+    ``gram_solve``, and for the reduced Gram operator by the inner
+    solver at the dense point (the diagonal of Dh Dh* for the hyperboloid
+    map, which has no fixed-rank factors to invert B from)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -340,13 +342,14 @@ class DenseConstraint:
     def gram_solve(self, X, b):
         return self.inner.gram_solve(X.dense(), b)
 
-    def gram_solver(self, X, mask=None):
-        if mask is None:
-            return lambda b: self.gram_solve(X, b)
-        return lambda b: self.inner.gram_solver(X.dense(), mask)(b)
+    def gram_solver(self, X):
+        return lambda b: self.gram_solve(X, b)
+
+    def reduced_gram_solver(self, X, mask):
+        return lambda b: self.inner.reduced_gram_solver(X.dense(), mask)(b)
 
 
-def collapsed_projector(manifold, constraint, point, xi, gram=None):
+def collapsed_projector(manifold, constraint, point, xi):
     """eta - Dh*(Dh Dh*)^{-1} Dh eta with eta = P_T(xi): the projection onto
     S(X) for a pair whose Dh* lam is already tangent (the sphere pair).
     Signature of ``gotd.algorithm.tangent_intersection_project``, which a
@@ -422,13 +425,12 @@ def reduced_gram_matrix(manifold, constraint, point):
     return 0.5 * (B + B.T)
 
 
-def loop_tangent_intersection_project(manifold, constraint, point, xi, gram=None):
+def loop_tangent_intersection_project(manifold, constraint, point, xi):
     """Projection onto ker(Dh) within the tangent space through the
     pseudo-inverse of the assembled reduced Gram matrix:
     P_S(xi) = xi_bar - P_T Dh*(B^+ Dh(xi_bar)), xi_bar = P_T(xi), with the
     multiplier in the coordinates of :func:`multiplier_basis`.
-    Signature of ``gotd.algorithm.tangent_intersection_project``; ``gram``
-    is not used."""
+    Signature of ``gotd.algorithm.tangent_intersection_project``."""
     xi_bar = manifold.tangent_project(point, xi)
     basis = multiplier_basis(constraint, point)
     B = reduced_gram_matrix(manifold, constraint, point)

@@ -21,6 +21,7 @@ from gotd import (
     feasibility_direction,
     find_monotone_balance,
     gauss_newton_direction,
+    gen_hyperbolic_data,
     gen_modes_problem,
     gen_sphere_data,
     gotd_run,
@@ -279,44 +280,83 @@ class TestTangentIntersectionProject:
             totals.append(sum(iters))
         assert totals[0] < totals[1]
 
+    @staticmethod
+    def spy_on(monkeypatch, obj, name):
+        """Record the arguments of every call of a method of obj."""
+        calls = []
+        method = getattr(obj, name)
+
+        def spy(*args):
+            calls.append(args)
+            return method(*args)
+
+        monkeypatch.setattr(obj, name, spy)
+        return calls
+
     @pytest.mark.parametrize("p", [10, 11])
     def test_mask_reaches_gram_solver_at_any_q(self, rng, monkeypatch, p):
-        # q = 55 and 66: the projector asks for the masked solver, and not
-        # for the caller's unmasked (Dh Dh*)^-1, at every q
+        # q = 55 and 66: the projector hands the mask to the reduced Gram
+        # solver at every q, and does not factor Dh Dh*
         X = random_support_point(rng, 40, p, 300)
         man, C = SparsityManifold(40, p, 300), StiefelConstraint(40, p)
-        gram = C.gram_solver(X)
-        calls = []
-        solver = C.gram_solver
-        monkeypatch.setattr(C, "gram_solver", lambda *args: calls.append(args) or solver(*args))
+        calls = self.spy_on(monkeypatch, C, "reduced_gram_solver")
+        unmasked = self.spy_on(monkeypatch, C, "gram_solver")
         xi = rng.standard_normal(X.shape)
-        out = tangent_intersection_project(man, C, X, xi, gram)
+        out = tangent_intersection_project(man, C, X, xi)
+        assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X) and not unmasked
         loop = loop_tangent_intersection_project(man, C, X, xi)
         assert np.linalg.norm(out - loop) <= 1e-10 * np.linalg.norm(xi)
-        assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X)
 
     def test_fixed_rank_pairs_get_no_mask(self, rng, monkeypatch, pair):
-        # a fixed-rank tangent projection is not a mask, so CG keeps the
-        # unmasked (Dh Dh*)^-1, from the caller or built here
+        # a fixed-rank tangent projection is not a mask, so the projector
+        # asks for B^-1 without one; that inverse is exact on both pairs
+        # (B = Dh Dh* for the oblique map, Woodbury's for the hyperboloid
+        # map), so CG ends after one iteration
         man, C, X, _ = pair
         iters = self.spy_on_pcg(monkeypatch)
-        calls = []
-        solver = C.gram_solver
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(C, "gram_solver", spy)
+        calls = self.spy_on(monkeypatch, C, "reduced_gram_solver")
         assert man.tangent_mask(X) is None
         xi = rng.standard_normal(X.shape)
         tangent_intersection_project(man, C, X, xi)
-        tangent_intersection_project(man, C, X, xi, solver(X))
         prob = Problem(man, C, lambda X: 0.0, lambda X: xi)
         gotd_run(prob, X, GotdConfig(max_iter=2, tol=0.0))
-        assert len(iters) == 5 and min(iters) >= 1
-        assert len(calls) == 4
-        assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+        assert iters == [1, 1, 1, 1]
+        assert len(calls) == 4 and all(mask is None for _, mask in calls)
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "modes"])
+    def test_dh_adjoint_calls_follow_cg_iterations(self, rng, monkeypatch, kind):
+        # CG applies Dh* once per iteration; Phi(lam) needs no further one
+        # when CG ends after one iteration (sphere, hyperbolic), and one
+        # more otherwise (modes, preconditioned by B's diagonal)
+        if kind == "sphere":
+            man, C, X = FixedRankManifold(6, 5, 2), ObliqueConstraint(6, 5), random_factored(rng, 6, 5, 2)
+        elif kind == "hyperbolic":
+            X = feasible_hyperboloid_lowrank(rng, 8, 10, 3)
+            man, C = FixedRankManifold(9, 10, 3), HyperboloidConstraint(8, 10)
+        else:
+            X = random_support_point(rng, 12, 3, 24)
+            man, C = SparsityManifold(12, 3, 24), StiefelConstraint(12, 3)
+        for _ in range(3):
+            xi = rng.standard_normal(X.shape)
+            iters = self.spy_on_pcg(monkeypatch)
+            calls = self.spy_on(monkeypatch, C, "dh_adjoint")
+            out = tangent_intersection_project(man, C, X, xi)
+            if kind == "modes":
+                assert iters[0] > 1 and len(calls) == iters[0] + 1
+            else:
+                assert iters[0] == len(calls) == 1
+            monkeypatch.undo()
+            loop = loop_tangent_intersection_project(man, C, X, xi)
+            assert np.linalg.norm(out - loop) <= 1e-10 * np.linalg.norm(xi)
+
+    def test_hyperbolic_run_ends_cg_in_one_iteration(self, monkeypatch):
+        # the Woodbury inverse of B is exact at every fixed-rank iterate,
+        # so every projection of a hyperbolic run takes one CG iteration
+        data = gen_hyperbolic_data(20, 200, 3, 0)
+        problem = make_hyperbolic_problem(data, 3)
+        iters = self.spy_on_pcg(monkeypatch)
+        res = gotd_run(problem, init_hyperbolic(data, 3), GotdConfig(beta=0.2, max_iter=60, tol=0.0))
+        assert res.status is RunStatus.MAX_ITER and iters == [1] * 61
 
     def test_modes_trace_matches_loop_route(self, monkeypatch):
         data = gen_modes_problem(128, 5, 50.0, 0.6)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gotd import (
     DegenerateProjection,
+    FactoredPoint,
     FixedRankManifold,
     HyperboloidConstraint,
     IllConditioned,
@@ -16,6 +17,7 @@ from gotd import (
 from oracles import (
     disjoint_support_point,
     fd_dh_check,
+    feasible_hyperboloid_lowrank,
     multiplier_basis,
     quartic_hyperboloid_project,
     random_support_point,
@@ -235,7 +237,7 @@ class TestMaskedGramSolver:
         C = StiefelConstraint(n, p)
         B = reduced_gram_matrix(SparsityManifold(n, p, X.nnz), C, X)
         basis = multiplier_basis(C, X)
-        out = C.gram_solver(X, X.mask)(b)
+        out = C.reduced_gram_solver(X, X.mask)(b)
         return out, np.diag(B), [np.vdot(E, b) for E in basis], [np.vdot(E, out) for E in basis]
 
     @given(
@@ -281,18 +283,98 @@ class TestMaskedGramSolver:
         X = np.where(rng.random(X.shape) < density, X, 0.0)
         X[:, 0] = X[0] = 1.0  # no zero row or column
         b = random_multiplier(C, rng)
-        masked = C.gram_solver(X, (X != 0.0).astype(float))(b)
+        masked = C.reduced_gram_solver(X, (X != 0.0).astype(float))(b)
         assert np.array_equal(masked, C.gram_solver(X)(b))
 
     def test_stiefel_zero_point_rejected(self):
         C = StiefelConstraint(4, 2)
         with pytest.raises(IllConditioned, match="trace 0.0"):
-            C.gram_solver(np.zeros((4, 2)), np.ones((4, 2)))
+            C.reduced_gram_solver(np.zeros((4, 2)), np.ones((4, 2)))
 
     def test_stiefel_mask_shape_checked(self, rng):
         C, X = make_instance("stiefel", rng)
         with pytest.raises(ShapeMismatch):
-            C.gram_solver(X, np.ones((X.shape[0] + 1, X.shape[1])))
+            C.reduced_gram_solver(X, np.ones((X.shape[0] + 1, X.shape[1])))
+
+
+def with_top_row(rng, rows, top) -> np.ndarray:
+    """rows x k, orthonormal columns, first row ``top`` (||top|| <= 1):
+    [top^T; Q R] with R^T R = I - top top^T and Q random orthonormal."""
+    d, W = np.linalg.eigh(np.eye(top.size) - np.outer(top, top))
+    R = np.sqrt(np.maximum(d, 0.0))[:, None] * W.T
+    return np.vstack([top, np.linalg.qr(rng.standard_normal((rows - 1, top.size)))[0] @ R])
+
+
+def point_with_top_row(rng, n, m, w, sigma, v0=None) -> FactoredPoint:
+    """A rank-s point of (n+1) x m whose U has first row w, and whose V
+    has first row v0 when one is given."""
+    V = np.linalg.qr(rng.standard_normal((m, w.size)))[0] if v0 is None else with_top_row(rng, m, v0)
+    return FactoredPoint(with_top_row(rng, n + 1, w), sigma, V)
+
+
+class TestHyperboloidReducedGramSolver:
+    @staticmethod
+    def matrices(X):
+        """The solver at X and the oracle B, both as m x m matrices."""
+        n, m = X.u.shape[0] - 1, X.v.shape[0]
+        C = HyperboloidConstraint(n, m)
+        B = reduced_gram_matrix(FixedRankManifold(n + 1, m, X.rank), C, X)
+        solve = C.reduced_gram_solver(X, None)
+        return np.column_stack([solve(e) for e in np.eye(m)]), B, C
+
+    @given(
+        s=st.integers(1, 4),
+        extra=st.tuples(st.integers(0, 3), st.integers(1, 5)),
+        w_sq=st.floats(0.0, 1.0),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(s=3, extra=(2, 4), w_sq=1.0, log_scale=0.0, seed=0)  # c = 0
+    @example(s=3, extra=(2, 4), w_sq=0.0, log_scale=2.0, seed=1)  # c = 4
+    def test_inverts_the_oracle_reduced_gram(self, s, extra, w_sq, log_scale, seed):
+        # d_j / ||Sigma v_j||^2 >= (1 - 2 ||w||^2)^2, so away from
+        # ||w||^2 = 1/2 the Woodbury form is used and is exact to rounding
+        assume(abs(1.0 - 2.0 * w_sq) >= 0.1)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(s)
+        w *= np.sqrt(w_sq) / np.linalg.norm(w)
+        sigma = np.sort(rng.uniform(0.5, 2.0, s))[::-1] * 10.0**log_scale
+        X = point_with_top_row(rng, s + extra[0], s + extra[1], w, sigma)
+        P, B, _ = self.matrices(X)
+        assert np.abs(P @ B - np.eye(B.shape[0])).max() <= 1e-10
+
+    def test_unit_top_row_is_the_diagonal(self, rng):
+        # ||w|| = 1 puts e_0 in the column space of U, so c = 0: P_T keeps
+        # Dh* lam, and B = Dh Dh* is the diagonal gram_solver inverts
+        w = np.array([0.6, 0.0, 0.8])
+        X = point_with_top_row(rng, 4, 7, w, np.array([3.0, 2.0, 0.5]))
+        P, B, C = self.matrices(X)
+        gram = np.column_stack([C.gram_solver(X)(e) for e in np.eye(7)])
+        assert np.abs(P - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert np.abs(P @ B - np.eye(7)).max() <= 1e-10
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-6])
+    def test_vanishing_diagonal_falls_back_to_gram_solver(self, rng, tilt):
+        # at ||w||^2 = 1/2, d_j = 0 where Sigma v_j is parallel to w:
+        # on every column at rank 1, and on a row of V turned (to within
+        # tilt) toward Sigma^-1 w at rank 3; the solver is gram_solver's
+        X = point_with_top_row(rng, 3, 5, np.array([np.sqrt(0.5)]), np.array([2.0]))
+        sigma = np.array([3.0, 2.0, 0.5])
+        w = np.array([0.5, 0.4, np.sqrt(0.5 - 0.41)])
+        v0 = (1.0 - tilt) * w / sigma + tilt * np.linalg.norm(w / sigma) * rng.standard_normal(3)
+        Y = point_with_top_row(rng, 5, 8, w, sigma, 0.5 * v0 / np.linalg.norm(v0))
+        for P in (X, Y):
+            C = HyperboloidConstraint(P.u.shape[0] - 1, P.v.shape[0])
+            b = rng.standard_normal(P.v.shape[0])
+            assert np.array_equal(C.reduced_gram_solver(P, None)(b), C.gram_solver(P)(b))
+
+    def test_dense_point_and_mask_use_gram_solver(self, rng):
+        X = feasible_hyperboloid_lowrank(rng, 4, 6, 3)
+        C = HyperboloidConstraint(4, 6)
+        b = rng.standard_normal(6)
+        dense = X.dense()
+        assert np.array_equal(C.reduced_gram_solver(dense, None)(b), C.gram_solver(dense)(b))
+        assert np.array_equal(C.reduced_gram_solver(X, np.ones((5, 6)))(b), C.gram_solver(X)(b))
 
 
 class TestProjections:

@@ -87,19 +87,20 @@ def identity(v):
 class TestPcg:
     def test_identity_one_iteration(self, rng):
         b = rng.standard_normal(6)
-        x, iters = pcg(lambda v: v, b, identity, 1e-10, 200)
+        x, iters, lifted = pcg(lambda v: v, b, identity, 1e-10, 200)
         assert iters == 1
         assert np.allclose(x, b)
+        assert np.array_equal(lifted, x)
 
     def test_zero_rhs(self):
-        x, iters = pcg(lambda v: v, np.zeros(4), identity, 1e-10, 200)
-        assert iters == 0 and np.all(x == 0.0)
+        x, iters, lifted = pcg(lambda v: v, np.zeros(4), identity, 1e-10, 200)
+        assert iters == 0 and np.all(x == 0.0) and np.all(lifted == 0.0)
 
     def test_matches_spd_solve(self, rng):
         M = rng.standard_normal((8, 8))
         A = M @ M.T + np.eye(8)
         b = rng.standard_normal(8)
-        x, _ = pcg(lambda v: A @ v, b, identity, 1e-12, 200)
+        x = pcg(lambda v: A @ v, b, identity, 1e-12, 200).x
         ref = np.linalg.solve(A, b)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -132,10 +133,35 @@ class TestPcg:
         G = M @ M.T + np.eye(5)
         B = rng.standard_normal((5, 5))
         B = B + B.T
-        L, _ = pcg(lambda X: G @ X + X @ G, B, identity, 1e-12, 50)
+        L = pcg(lambda X: G @ X + X @ G, B, identity, 1e-12, 50).x
         assert L.shape == (5, 5)
         ref = sym_sylvester_solver(G)(B)
         assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_lift_of_the_solution(self, rng):
+        # for A = L^T L given as lift = L and A = L^T, pcg applies L once
+        # per iteration and returns L x, lifting x itself only when it
+        # took more than one iteration
+        L = rng.standard_normal((9, 6))
+        b = rng.standard_normal(6)
+        calls = []
+
+        def lift(v):
+            calls.append(v)
+            return L @ v
+
+        res = pcg(lambda y: L.T @ y, b, identity, 1e-13, 50, lift=lift)
+        assert len(calls) == res.iters + 1 and res.iters >= 2
+        assert np.array_equal(res.lifted, L @ res.x)
+        ref = np.linalg.solve(L.T @ L, b)
+        assert np.linalg.norm(res.x - ref) <= 1e-10 * np.linalg.norm(ref)
+        calls.clear()
+        exact = np.linalg.inv(L.T @ L)
+        one = pcg(lambda y: L.T @ y, b, lambda r: exact @ r, 1e-13, 50, lift=lift)
+        assert one.iters == len(calls) == 1
+        assert np.linalg.norm(one.lifted - L @ one.x) <= 1e-14 * np.linalg.norm(L @ one.x)
+        zero = pcg(lambda y: L.T @ y, np.zeros(6), identity, 1e-13, 50, lift=lift)
+        assert zero.iters == 0 and zero.lifted.shape == (9,) and not zero.lifted.any()
 
     def test_non_convergence_raises(self, rng):
         # a stall, non-positive or NaN curvature and an empty budget each
