@@ -145,12 +145,11 @@ def tangent_intersection_project(manifold, constraint, point, xi):
     return Phi(lam): from the one image they formed when they end after
     one iteration (the sphere and hyperbolic pairs), so the projection
     then costs one ``dh_adjoint``, and by one more Phi otherwise.  The
-    preconditioner is
-    ``constraint.reduced_gram_solver(point, manifold.tangent_mask(point))``:
-    the exact B^-1 for the oblique map, for the hyperboloid map at a
+    preconditioner is ``constraint.reduced_gram_solver(point)``: the
+    exact B^-1 for the oblique map, for the hyperboloid map at a
     fixed-rank point (O(m s^2) to build, so CG ends after one iteration)
-    and for both under a mask; for the Stiefel map, the inverse of B's
-    diagonal under a mask and of Dh Dh* without one.  B = Phi^T Phi may
+    and for both at a sparse point; for the Stiefel map, the inverse of B's
+    diagonal there and of Dh Dh* elsewhere.  B = Phi^T Phi may
     be singular (for instance at a sparsity point whose columns have
     disjoint supports), but the right-hand side Phi^T xi_bar lies in its
     range, CG from zero stays there, and every solution gives the same
@@ -162,7 +161,7 @@ def tangent_intersection_project(manifold, constraint, point, xi):
     def phi(lam):
         return manifold.tangent_project(point, constraint.dh_adjoint(point, lam))
 
-    precond = constraint.reduced_gram_solver(point, manifold.tangent_mask(point))
+    precond = constraint.reduced_gram_solver(point)
     phi_lam = pcg(
         lambda z: constraint.dh(point, z), constraint.dh(point, xi_bar), precond,
         tol=PCG_TOL, max_iter=PCG_ITERS_PER_DIM * constraint.q, lift=phi,

@@ -4,16 +4,20 @@ Grammar::
 
     gotd <experiment> [--key value]... [--config path] [--seeds A..B]
 
-with experiments ``sphere``, ``hyperbolic`` and ``modes``, each stated once
-in ``EXPERIMENTS``.  A config file's ``key = value`` lines (``#`` comments;
-keys are flag names, with ``_`` or ``-``) are read as flags placed before
-the command line's, so the same parser checks them and flags win.  Each
-run writes a CSV trace and prints a one-line summary on stdout.  Exit
-codes: 0 converged, 2 budget exhausted, 1 aborted, bad usage or an
-unwritable ``--out``.
+with experiments ``sphere``, ``hyperbolic`` and ``modes``.  Their flags
+are stated in ``EXPERIMENTS``; ``_build`` sets each one up, and
+``run_experiment`` adds the hyperbolic trace's f / f0 column.  A config
+file's ``key = value`` lines (``#`` comments; keys are flag names, with
+``_`` or ``-``) are read as flags placed before the command line's, so
+the same parser checks them and flags win.  Each run writes a CSV trace
+and prints a one-line summary on stdout; under ``--seeds``, seed N writes
+to ``--out`` without its extension, plus ``_seed<N>.csv``.  Exit codes:
+0 converged, 2 budget exhausted, 1 aborted, bad usage or an unwritable
+``--out``.
 """
 
 import argparse
+import os
 import sys
 
 from .algorithm import GotdConfig, RunStatus, gotd_run, write_trace_csv
@@ -230,9 +234,7 @@ def main(argv=None) -> int:
         base_out = config.out
         for seed in seeds:
             config.seed = seed
-            config.out = (
-                f"{base_out.rsplit('.', 1)[0]}_seed{seed}.csv" if base_out else None
-            )
+            config.out = f"{os.path.splitext(base_out)[0]}_seed{seed}.csv" if base_out else None
             worst = max(worst, run_experiment(config))
         return worst
     except UsageError as exc:

@@ -3,7 +3,7 @@
 Three instances share one contract -- ``value``, ``dh`` (differential),
 ``dh_adjoint``, ``gram_solver(X)`` (the inverse of Dh Dh*, factored once
 at a point and returned as a callable), ``gram_solve`` (one solve by it),
-``reduced_gram_solver(X, mask)`` (a preconditioner for the reduced Gram
+``reduced_gram_solver(X)`` (a preconditioner for the reduced Gram
 operator B = Dh P_T Dh* at a point X of the inner manifold, also a
 callable) and ``project`` (metric projection onto H), each checking its
 operands against the constraint's ``shape``:
@@ -19,14 +19,14 @@ the adjoint identities hold under the Frobenius inner product.  Either way
 q is the dimension of the multiplier space.  The oblique and hyperboloid
 Dh Dh* are diagonal and share one solve.
 
-``mask`` is the manifold's ``tangent_mask(X)``: the 0/1 array that P_T
-multiplies by, or None for the fixed-rank tangent projection at X's own
-factors.  The reduced Gram solver is the exact B^-1 for the oblique map
-(Dh* lam is already tangent, so B = Dh Dh*), for the hyperboloid map at a
-fixed-rank point (B is a diagonal plus a rank-s term, inverted by the
-Woodbury identity) and for both under a mask that covers X's support.
-The Stiefel map gives the inverse of B's diagonal under a mask (a Jacobi
-preconditioner) and (Dh Dh*)^-1 without one.
+P_T is read from the point: at a fixed-rank point it projects at X's own
+factors, and at a sparse point (a ``SupportPoint``) it multiplies by the
+0/1 ``X.mask``.  The reduced Gram solver is the exact B^-1 for the
+oblique map (Dh* lam is already tangent, so B = Dh Dh*), for the
+hyperboloid map at a fixed-rank point (B is a diagonal plus a rank-s
+term, inverted by the Woodbury identity) and for both at a sparse point.
+The Stiefel map gives the inverse of B's diagonal at a sparse point (a
+Jacobi preconditioner) and (Dh Dh*)^-1 at any other.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
@@ -37,7 +37,7 @@ factored direction; the Stiefel map acts on the ambient matrix.
 import numpy as np
 
 from .errors import DegenerateProjection, IllConditioned, ShapeMismatch
-from .manifolds import FactoredPoint, FixedRankTangent, LowRankMatrix, as_dense
+from .manifolds import FactoredPoint, FixedRankTangent, LowRankMatrix, SupportPoint, as_dense
 from .solvers import COND_RTOL, sym_sylvester_solver
 
 SECULAR_TOL = 1e-12
@@ -113,9 +113,9 @@ class ObliqueConstraint:
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
 
-    def reduced_gram_solver(self, X, mask):
+    def reduced_gram_solver(self, X):
         """B = Dh Dh*: Dh* lam = 2 Diag(lam) X rescales rows of X, so it is
-        tangent at a fixed-rank X and keeps the support a mask covers."""
+        tangent at a fixed-rank X and keeps the support of a sparse X."""
         return self.gram_solver(X)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ class HyperboloidConstraint:
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
 
-    def reduced_gram_solver(self, X, mask):
+    def reduced_gram_solver(self, X):
         """B^-1 for B = Dh P_T Dh* at a fixed-rank point X = U Sigma V^T.
 
         With A = U Sigma and w = U^T e_0, U^T J U = I - 2 w w^T, so the
@@ -205,13 +205,13 @@ class HyperboloidConstraint:
             K = I_s + c F^T D^-1 F,
 
         K >= I inverted once here: O(m s^2) to build, O(m s) per call.
-        At a dense point, under a mask (Dh* lam rescales columns of J X, so
-        it keeps the support the mask covers and B = Dh Dh*), or where some
+        At any other point (at a sparse one Dh* lam rescales columns of
+        J X, so it keeps the support and B = Dh Dh*), or where some
         d_j <= WOODBURY_MIN_RATIO ||Sigma v_j||^2, this is
         ``gram_solver(X)``.
         """
         _check_shape(self, X)
-        if mask is not None or not isinstance(X, FactoredPoint):
+        if not isinstance(X, FactoredPoint):
             return self.gram_solver(X)
         V, w = X.v, X.u[0]
         c = max(4.0 * (1.0 - w @ w), 0.0)
@@ -330,9 +330,9 @@ class StiefelConstraint:
     def gram_solve(self, X, b: np.ndarray) -> np.ndarray:
         return self.gram_solver(X)(b)
 
-    def reduced_gram_solver(self, X, mask):
-        """The inverse of the diagonal of B = Dh Diag(mask) Dh* under a
-        mask, and ``gram_solver(X)`` without one.
+    def reduced_gram_solver(self, X):
+        """The inverse of the diagonal of B = Dh Diag(mask) Dh* at a sparse
+        point X with 0/1 ``mask``, and ``gram_solver(X)`` at any other.
 
         The diagonal of B in the orthonormal basis E_ii,
         (E_ij + E_ji) / sqrt(2) (i < j) of Sym(p) is Delta_ij =
@@ -344,10 +344,10 @@ class StiefelConstraint:
         is an exact zero, and the solve returns 0 there.  Raises
         IllConditioned when Delta is all zero.
         """
-        if mask is None:
+        if not isinstance(X, SupportPoint):
             return self.gram_solver(X)
-        _check_shape(self, X, mask)
-        X = as_dense(X)
+        _check_shape(self, X)
+        mask, X = X.mask, X.values
         D = (X * X).T @ mask
         delta = 2.0 * (D + D.T)
         # the trace of Dh Diag(mask) Dh*, the sum of Delta_ij over i <= j

@@ -2,10 +2,7 @@
 fixed-cardinality (sparsity) set.
 
 Each manifold implements the same small contract: ``tangent_project``,
-``tangent_mask``, ``retract`` and ``project`` (metric projection from the
-ambient space).  ``tangent_mask`` returns the 0/1 array that
-``tangent_project`` multiplies by where that projection is a coordinate
-mask (the sparsity set), and None where it is not (fixed rank).
+``retract`` and ``project`` (metric projection from the ambient space).
 Points carry their own structure -- a thin SVD triple for fixed rank,
 the values alone for sparsity -- and ``dense()`` recovers the ambient
 matrix.  Fixed-rank tangent vectors stay factored as well
@@ -333,10 +330,6 @@ class FixedRankManifold:
         self._check(X, Z)
         return FixedRankTangent.from_ambient(X, Z)
 
-    def tangent_mask(self, X: FactoredPoint) -> None:
-        """None: the tangent projection at X is not diagonal."""
-        return None
-
     def retract(self, X: FactoredPoint, eta) -> FactoredPoint:
         """Metric-projection retraction: best rank-r approximation of X + eta.
 
@@ -428,10 +421,6 @@ class SparsityManifold:
         therefore not zeroed but propagates as NaN (inf * 0 = nan)."""
         self._check(X, Z)
         return Z * X.mask
-
-    def tangent_mask(self, X: SupportPoint) -> np.ndarray:
-        """The 0/1 mask of X that :meth:`tangent_project` multiplies by."""
-        return X.mask
 
     def retract(self, X: SupportPoint, eta: np.ndarray) -> SupportPoint:
         """Keep the s largest-magnitude entries of X + eta.

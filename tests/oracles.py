@@ -263,6 +263,14 @@ def loglog_slope(xs, ys):
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
 
 
+def min_so_far_slope(values, k_lo=10, k_hi=500):
+    """Log-log slope of the running minimum of values over K in
+    [k_lo, k_hi]: the rate fit of acceptance criterion 5."""
+    running = np.minimum.accumulate(np.maximum(values, 1e-300))
+    ks = np.arange(k_lo, min(k_hi, len(values) - 1) + 1)
+    return loglog_slope(ks, running[ks])
+
+
 # ---------------------------------------------------------------------------
 # the dense route: m x n tangent vectors, dense objectives and constraints
 # ---------------------------------------------------------------------------
@@ -324,7 +332,9 @@ class DenseConstraint:
     Gram solvers factor afresh for every right-hand side: by
     ``gram_solve``, and for the reduced Gram operator by the inner
     solver at the dense point (the diagonal of Dh Dh* for the hyperboloid
-    map, which has no fixed-rank factors to invert B from)."""
+    map, which has no fixed-rank factors to invert B from).  A sparse
+    point goes to the inner solver as it is, since its mask picks the
+    Stiefel map's Jacobi preconditioner."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -345,8 +355,9 @@ class DenseConstraint:
     def gram_solver(self, X):
         return lambda b: self.gram_solve(X, b)
 
-    def reduced_gram_solver(self, X, mask):
-        return lambda b: self.inner.reduced_gram_solver(X.dense(), mask)(b)
+    def reduced_gram_solver(self, X):
+        point = X if isinstance(X, SupportPoint) else X.dense()
+        return lambda b: self.inner.reduced_gram_solver(point)(b)
 
 
 def collapsed_projector(manifold, constraint, point, xi):

@@ -6,6 +6,7 @@ import pytest
 from gotd import (
     Diverged,
     DomainViolation,
+    FactoredPoint,
     FixedRankManifold,
     GotdConfig,
     HyperbolicFitProblem,
@@ -266,15 +267,16 @@ class TestTangentIntersectionProject:
 
     def test_masked_preconditioner_cuts_modes_cg_iterations(self, monkeypatch):
         # on a modes run the mask's Jacobi preconditioner takes fewer CG
-        # iterations than the caller's unmasked (Dh Dh*)^-1
+        # iterations than the unmasked (Dh Dh*)^-1 of gram_solver
         data = gen_modes_problem(256, 10, 50.0, 0.6)
         problem = make_modes_problem(data)
         config = GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=20, tol=0.0)
+        C = problem.constraint
         totals = []
         for unmasked in (False, True):
             iters = self.spy_on_pcg(monkeypatch)
             if unmasked:
-                monkeypatch.setattr(problem.manifold, "tangent_mask", lambda X: None)
+                monkeypatch.setattr(C, "reduced_gram_solver", C.gram_solver)
             res = gotd_run(problem, init_modes(data, 0), config)
             assert res.status is RunStatus.MAX_ITER and len(iters) == 21
             totals.append(sum(iters))
@@ -295,33 +297,34 @@ class TestTangentIntersectionProject:
 
     @pytest.mark.parametrize("p", [10, 11])
     def test_mask_reaches_gram_solver_at_any_q(self, rng, monkeypatch, p):
-        # q = 55 and 66: the projector hands the mask to the reduced Gram
-        # solver at every q, and does not factor Dh Dh*
+        # q = 55 and 66: the projector hands the sparse point, which
+        # carries its mask, to the reduced Gram solver at every q, and does
+        # not factor Dh Dh*
         X = random_support_point(rng, 40, p, 300)
         man, C = SparsityManifold(40, p, 300), StiefelConstraint(40, p)
         calls = self.spy_on(monkeypatch, C, "reduced_gram_solver")
         unmasked = self.spy_on(monkeypatch, C, "gram_solver")
         xi = rng.standard_normal(X.shape)
         out = tangent_intersection_project(man, C, X, xi)
-        assert len(calls) == 1 and calls[0][1] is man.tangent_mask(X) and not unmasked
+        assert len(calls) == 1 and calls[0][0] is X and not unmasked
         loop = loop_tangent_intersection_project(man, C, X, xi)
         assert np.linalg.norm(out - loop) <= 1e-10 * np.linalg.norm(xi)
 
     def test_fixed_rank_pairs_get_no_mask(self, rng, monkeypatch, pair):
-        # a fixed-rank tangent projection is not a mask, so the projector
-        # asks for B^-1 without one; that inverse is exact on both pairs
-        # (B = Dh Dh* for the oblique map, Woodbury's for the hyperboloid
-        # map), so CG ends after one iteration
+        # a fixed-rank tangent projection is not a mask: the projector
+        # hands the reduced Gram solver the factored point alone, whose B^-1
+        # is exact on both pairs (B = Dh Dh* for the oblique map, Woodbury's
+        # for the hyperboloid map), so CG ends after one iteration
         man, C, X, _ = pair
         iters = self.spy_on_pcg(monkeypatch)
         calls = self.spy_on(monkeypatch, C, "reduced_gram_solver")
-        assert man.tangent_mask(X) is None
         xi = rng.standard_normal(X.shape)
         tangent_intersection_project(man, C, X, xi)
         prob = Problem(man, C, lambda X: 0.0, lambda X: xi)
         gotd_run(prob, X, GotdConfig(max_iter=2, tol=0.0))
         assert iters == [1, 1, 1, 1]
-        assert len(calls) == 4 and all(mask is None for _, mask in calls)
+        assert len(calls) == 4 and calls[0][0] is X
+        assert all(isinstance(args[0], FactoredPoint) for args in calls)
 
     @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "modes"])
     def test_dh_adjoint_calls_follow_cg_iterations(self, rng, monkeypatch, kind):

@@ -279,6 +279,19 @@ class TestRuns:
         assert (tmp_path / "sweep_seed1.csv").exists()
         assert (tmp_path / "sweep_seed2.csv").exists()
 
+    @pytest.mark.parametrize("out, stem", [("run.v2/trace", "run.v2/trace"), ("./t2", "t2")])
+    def test_seed_sweep_strips_only_the_file_extension(self, tmp_path, monkeypatch, out, stem):
+        # a dot in a directory name, or a leading ./, is not an extension
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v2").mkdir()
+        code = main(
+            ["sphere", "--m", "30", "--n", "26", "--r", "2", "--os", "2",
+             "--beta", "1", "--max-iter", "1", "--seeds", "0..1", "--out", out]
+        )
+        assert code == 2
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
+        assert written == [f"{stem}_seed0.csv", f"{stem}_seed1.csv"]
+
     def test_same_seed_reproduces_trace(self, tmp_path):
         args = ["sphere", "--m", "30", "--n", "26", "--r", "2", "--os", "2",
                 "--beta", "1", "--max-iter", "40", "--seed", "3", "--tol", "0"]

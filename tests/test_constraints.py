@@ -13,6 +13,7 @@ from gotd import (
     ShapeMismatch,
     SparsityManifold,
     StiefelConstraint,
+    SupportPoint,
 )
 from oracles import (
     disjoint_support_point,
@@ -85,6 +86,7 @@ class TestValues:
         lam = random_multiplier(C, rng)
         for call in (lambda: C.value(wrong), lambda: C.dh(wrong, wrong),
                      lambda: C.dh_adjoint(wrong, lam), lambda: C.gram_solver(wrong),
+                     lambda: C.reduced_gram_solver(SupportPoint(wrong)),
                      lambda: C.dh(X, X[:, :-1])):
             with pytest.raises(ShapeMismatch):
                 call()
@@ -237,7 +239,7 @@ class TestMaskedGramSolver:
         C = StiefelConstraint(n, p)
         B = reduced_gram_matrix(SparsityManifold(n, p, X.nnz), C, X)
         basis = multiplier_basis(C, X)
-        out = C.reduced_gram_solver(X, X.mask)(b)
+        out = C.reduced_gram_solver(X)(b)
         return out, np.diag(B), [np.vdot(E, b) for E in basis], [np.vdot(E, out) for E in basis]
 
     @given(
@@ -283,18 +285,13 @@ class TestMaskedGramSolver:
         X = np.where(rng.random(X.shape) < density, X, 0.0)
         X[:, 0] = X[0] = 1.0  # no zero row or column
         b = random_multiplier(C, rng)
-        masked = C.reduced_gram_solver(X, (X != 0.0).astype(float))(b)
+        masked = C.reduced_gram_solver(SupportPoint(X))(b)
         assert np.array_equal(masked, C.gram_solver(X)(b))
 
     def test_stiefel_zero_point_rejected(self):
         C = StiefelConstraint(4, 2)
         with pytest.raises(IllConditioned, match="trace 0.0"):
-            C.reduced_gram_solver(np.zeros((4, 2)), np.ones((4, 2)))
-
-    def test_stiefel_mask_shape_checked(self, rng):
-        C, X = make_instance("stiefel", rng)
-        with pytest.raises(ShapeMismatch):
-            C.reduced_gram_solver(X, np.ones((X.shape[0] + 1, X.shape[1])))
+            C.reduced_gram_solver(SupportPoint(np.zeros((4, 2))))
 
 
 def with_top_row(rng, rows, top) -> np.ndarray:
@@ -319,7 +316,7 @@ class TestHyperboloidReducedGramSolver:
         n, m = X.u.shape[0] - 1, X.v.shape[0]
         C = HyperboloidConstraint(n, m)
         B = reduced_gram_matrix(FixedRankManifold(n + 1, m, X.rank), C, X)
-        solve = C.reduced_gram_solver(X, None)
+        solve = C.reduced_gram_solver(X)
         return np.column_stack([solve(e) for e in np.eye(m)]), B, C
 
     @given(
@@ -366,15 +363,16 @@ class TestHyperboloidReducedGramSolver:
         for P in (X, Y):
             C = HyperboloidConstraint(P.u.shape[0] - 1, P.v.shape[0])
             b = rng.standard_normal(P.v.shape[0])
-            assert np.array_equal(C.reduced_gram_solver(P, None)(b), C.gram_solver(P)(b))
+            assert np.array_equal(C.reduced_gram_solver(P)(b), C.gram_solver(P)(b))
 
     def test_dense_point_and_mask_use_gram_solver(self, rng):
         X = feasible_hyperboloid_lowrank(rng, 4, 6, 3)
         C = HyperboloidConstraint(4, 6)
         b = rng.standard_normal(6)
         dense = X.dense()
-        assert np.array_equal(C.reduced_gram_solver(dense, None)(b), C.gram_solver(dense)(b))
-        assert np.array_equal(C.reduced_gram_solver(X, np.ones((5, 6)))(b), C.gram_solver(X)(b))
+        sparse = SupportPoint(dense)
+        assert np.array_equal(C.reduced_gram_solver(dense)(b), C.gram_solver(dense)(b))
+        assert np.array_equal(C.reduced_gram_solver(sparse)(b), C.gram_solver(sparse)(b))
 
 
 class TestProjections:

@@ -194,8 +194,8 @@ class TestSparsity:
         man = SparsityManifold(m, n, int(support.sum()))
         out = man.tangent_project(X, Z)
         assert np.array_equal(out, np.where(support, Z, 0.0))
-        # the mask that the projection multiplies by is the contract's mask
-        assert np.array_equal(man.tangent_mask(X), support.astype(float))
+        # the mask that the projection multiplies by is the point's mask
+        assert np.array_equal(X.mask, support.astype(float))
         assert X.nnz == support.sum() and type(X.nnz) is int
 
     def test_tangent_project_masks(self, rng):
