@@ -76,7 +76,8 @@ class GotdConfig:
             raise ValueError("step sizes must be finite and positive")
         if not self.tol >= 0.0:
             raise ValueError("tolerance must be nonnegative")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.max_iter, self.trace_every)):
+        budgets = (self.max_iter, self.trace_every)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in budgets):
             raise ValueError("iteration budgets must be integers")
         if self.max_iter < 0 or self.trace_every < 1:
             raise ValueError("invalid iteration budget")

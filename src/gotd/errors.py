@@ -30,12 +30,13 @@ class Diverged(GotdError):
 
 
 class NotTangent(GotdError, ValueError):
-    """A retraction step is not tangent at the point, or its factored
-    form breaks the gauge conditions U^T Up = 0, V^T Vp = 0."""
+    """A retraction step is not tangent at the point, a sparse step has a
+    non-finite entry, or a factored step breaks the gauge conditions
+    U^T Up = 0, V^T Vp = 0."""
 
 
 class DegenerateStep(GotdError):
-    """A sparsity retraction target has fewer nonzeros than required."""
+    """A sparsity projection's ambient input has fewer than s nonzeros or a NaN."""
 
 
 class DegenerateProjection(GotdError):

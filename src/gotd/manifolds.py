@@ -4,8 +4,8 @@ fixed-cardinality (sparsity) set.
 Each manifold implements the same small contract: ``tangent_project``,
 ``retract`` and ``project`` (metric projection from the ambient space).
 Points carry their own structure -- a thin SVD triple for fixed rank,
-the values alone for sparsity -- and ``dense()`` recovers the ambient
-matrix.  Fixed-rank tangent vectors stay factored as well
+the values and the support for sparsity -- and ``dense()`` recovers the
+ambient matrix.  Fixed-rank tangent vectors stay factored as well
 (:class:`FixedRankTangent`), and so do low-rank ambient operands
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
 The fixed-rank retraction works on r x r Gram roots of the tangent
@@ -15,6 +15,7 @@ block.
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -245,28 +246,29 @@ class LowRankMatrix:
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """Matrix with exactly s nonzeros, stored as its values alone.
+    """Matrix with exactly s entries in its support: its ``values`` and
+    the boolean ``support``, the nonzeros of ``values`` when not given.
+    A value on the support may be 0.0; values off it are zero.
 
-    The support (the boolean mask ``values != 0``), its size ``nnz`` and
-    the read-only float 0/1 ``mask`` that
+    The size ``nnz`` and the read-only float 0/1 ``mask`` that
     :meth:`SparsityManifold.tangent_project` multiplies by are derived
-    from ``values`` once per point.
+    from the support once per point.
     """
 
     values: np.ndarray
+    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ShapeMismatch("expected a matrix of values")
+        if self.support is None:
+            object.__setattr__(self, "support", self.values != 0.0)
+        elif self.support.shape != self.values.shape:
+            raise ShapeMismatch("support and values differ in shape")
 
     @property
     def shape(self):
         return self.values.shape
-
-    @functools.cached_property
-    def support(self) -> np.ndarray:
-        """The nonzero entries of ``values`` as a boolean mask."""
-        return self.values != 0.0
 
     @functools.cached_property
     def nnz(self) -> int:
@@ -400,7 +402,7 @@ class FixedRankManifold:
 
 
 class SparsityManifold:
-    """Matrices in R^{m x n} with exactly s nonzero entries."""
+    """Matrices in R^{m x n} supported on exactly s entries."""
 
     def __init__(self, m: int, n: int, s: int):
         if not 1 <= s <= m * n:
@@ -423,28 +425,22 @@ class SparsityManifold:
         return Z * X.mask
 
     def retract(self, X: SupportPoint, eta: np.ndarray) -> SupportPoint:
-        """Keep the s largest-magnitude entries of X + eta.
+        """X + eta on the support of X, for a tangent step eta.
 
-        Ties are broken toward the smallest row-major linear index.
-        Raises DegenerateStep when X + eta has fewer than s nonzeros.
-        A tangent step keeps the support, so X + eta has at most s
-        nonzeros: :meth:`project` returns it without a selection, or
-        raises when an entry of the step cancels X exactly.  Only a step
-        off the tangent space can leave more than s nonzeros and pay for
-        the selection.
+        An entry that the step takes to 0.0 stays in the support and can
+        grow back, so no step selects entries.  Raises NotTangent when
+        eta is nonzero off the support or has a non-finite entry.
         """
         self._check(X, eta)
-        return self.project(X.values + eta)
+        if ((eta != 0.0) & ~X.support).any() or not np.isfinite(eta).all():
+            raise NotTangent("eta is nonzero off the support or not finite")
+        return SupportPoint(X.values + eta, X.support)
 
     def project(self, Y: np.ndarray) -> SupportPoint:
         """Hard thresholding: keep the s largest entries in magnitude,
-        ties broken toward the smallest row-major linear index.
-
-        A Y with exactly s nonzeros lies on the manifold and is its own
-        projection, at the cost of one count and one NaN scan; only a Y
-        with more than s nonzeros pays for a partition of all m n
-        magnitudes.  Either way a -0.0 off the support comes back +0.0.
-        """
+        ties broken toward the smallest row-major linear index; a -0.0
+        off the support comes back +0.0.  Raises DegenerateStep when Y
+        has fewer than s nonzeros or a NaN entry."""
         if Y.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected ambient shape {(self.m, self.n)}")
         nnz = np.count_nonzero(Y != 0.0)
@@ -452,9 +448,6 @@ class SparsityManifold:
             raise DegenerateStep(f"only {nnz} nonzeros available, need {self.s}")
         if np.isnan(Y).any():
             raise DegenerateStep("NaN entries have no magnitude order")
-        if nnz == self.s:
-            # adding +0.0 turns -0.0 into +0.0, as the selection below does
-            return SupportPoint(Y + 0.0)
         flat = np.abs(Y).ravel()
         # t is the s-th largest magnitude: keep every entry above it and
         # fill the budget with the entries equal to it, smallest index first
@@ -463,4 +456,4 @@ class SparsityManifold:
         ties = np.flatnonzero(flat == t)
         mask[ties[: self.s - np.count_nonzero(mask)]] = True
         mask = mask.reshape(Y.shape)
-        return SupportPoint(np.where(mask, Y, 0.0))
+        return SupportPoint(np.where(mask, Y, 0.0), mask)

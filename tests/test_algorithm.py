@@ -465,6 +465,7 @@ class TestStepAndRun:
         ("beta", np.nan), ("beta", np.inf), ("beta", -1.0),
         ("tol", np.nan), ("tol", -1e-12),
         ("max_iter", 1.5), ("max_iter", 10.0), ("trace_every", 1.5), ("trace_every", "2"),
+        ("max_iter", True), ("trace_every", True),
     ])
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError):
@@ -645,6 +646,18 @@ class TestStepAndRun:
         assert res.reason == "iteration 2: pcg stalled at 1 iterations"
         assert type(res.error) is NotConverged
         assert [rec.iteration for rec in res.trace] == [0, 1]
+
+    def test_modes_run_goes_on_when_a_support_entry_reaches_zero(self):
+        # under the CLI's modes defaults, seed 2 takes a support entry to
+        # 0.0 at iteration 2735; the entry stays in the support, so the run
+        # keeps lowering f below 2.40295, its value at that iteration
+        data = gen_modes_problem(128, 5, 50.0, 0.6)
+        res = gotd_run(make_modes_problem(data), init_modes(data, 2),
+                       GotdConfig(alpha=1.0, beta=data.beta_default, max_iter=5000, tol=1e-10))
+        assert res.status in (RunStatus.MAX_ITER, RunStatus.CONVERGED), res.reason
+        assert res.trace[-1].f_value <= 2.40295
+        assert res.point.nnz == data.s
+        assert np.count_nonzero(res.point.values) < data.s
 
     def test_small_recovery_run(self, rng):
         data = gen_sphere_data(40, 36, 2, 3.0, 7)

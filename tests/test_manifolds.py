@@ -8,6 +8,7 @@ from gotd import (
     DegenerateStep,
     FactoredPoint,
     FixedRankManifold,
+    NotTangent,
     RankDeficient,
     ShapeMismatch,
     SparsityManifold,
@@ -173,6 +174,17 @@ class TestSupportPoint:
         with pytest.raises(ShapeMismatch, match="matrix"):
             SupportPoint(np.array([1.0, 0.0]))
 
+    def test_given_support_is_kept(self):
+        support = np.array([[True, True], [False, True]])
+        X = SupportPoint(np.array([[1.0, 0.0], [0.0, -2.0]]), support)
+        assert X.support is support and X.nnz == 3
+        assert np.array_equal(X.mask, [[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1), (2, 2, 1)])
+    def test_support_shape_checked(self, shape):
+        with pytest.raises(ShapeMismatch, match="support"):
+            SupportPoint(np.ones((2, 2)), np.ones(shape, dtype=bool))
+
     def test_mask_is_read_only_support(self, rng):
         X = random_support_point(rng, 5, 4, 6)
         assert np.array_equal(X.mask, X.support.astype(float))
@@ -230,11 +242,54 @@ class TestSparsity:
         assert np.allclose(Y.values, [[4.0, 0.0, 0.0]])
 
     def test_retract_top_magnitude(self):
+        # the retraction keeps the support and selects nothing, so a step
+        # that is nonzero off the support is refused, as on fixed rank
         man = SparsityManifold(1, 3, 2)
         X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
         eta = np.array([[0.0, 0.0, 0.5]])
+        with pytest.raises(NotTangent, match="off the support"):
+            man.retract(X, eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_retract_rejects_non_finite_step(self, bad):
+        man = SparsityManifold(1, 3, 2)
+        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
+        for k in range(3):
+            eta = np.zeros((1, 3))
+            eta[0, k] = bad
+            with pytest.raises(NotTangent, match="not finite"):
+                man.retract(X, eta)
+
+    @given(st.data())
+    def test_retract_keeps_support_under_any_tangent_step(self, data):
+        # the step may cancel support entries exactly; each stays in the
+        # support at 0.0 with its tangent coordinate, and P_T at the
+        # result is still an orthogonal projector
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        support = np.array(
+            data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+        ).reshape(m, n)
+        assume(support.any())
+        s = int(support.sum())
+        values = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3).filter(bool)))
+        X = SupportPoint(np.where(support, values, 0.0))
+        Z = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
+        cancel = data.draw(st.lists(st.sampled_from(np.flatnonzero(support).tolist())))
+        Z.flat[cancel] = -X.values.flat[cancel]
+        man = SparsityManifold(m, n, s)
+        eta = man.tangent_project(X, Z)
         Y = man.retract(X, eta)
-        assert np.allclose(Y.values, [[1.0, -2.0, 0.0]])
+        assert Y.support is X.support and Y.nnz == s
+        expected = X.values + eta
+        assert np.array_equal(Y.values, expected)
+        assert np.array_equal(np.signbit(Y.values), np.signbit(expected))
+        assert not np.signbit(Y.values[~support]).any()
+        assert (Y.values.flat[cancel] == 0.0).all()
+        W = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
+        PW = man.tangent_project(Y, W)
+        assert np.array_equal(PW.flat[cancel], W.flat[cancel])
+        assert np.array_equal(man.tangent_project(Y, PW), PW)
+        assert np.sum(PW * Z) == np.sum(W * man.tangent_project(Y, Z))
 
     def test_tie_breaks_to_smaller_index(self):
         man = SparsityManifold(1, 3, 1)
@@ -291,10 +346,14 @@ class TestSparsity:
         assert np.allclose(again.values, Y.values)
 
     def test_degenerate_step(self):
+        # a tangent step that cancels the support leaves a point of the
+        # manifold with 0.0 values, not a DegenerateStep
         man = SparsityManifold(1, 3, 2)
         X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
-        with pytest.raises(DegenerateStep):
-            man.retract(X, np.array([[-1.0, 2.0, 0.0]]))
+        Y = man.retract(X, np.array([[-1.0, 2.0, 0.0]]))
+        assert Y.support is X.support and Y.nnz == 2
+        assert np.array_equal(Y.values, np.zeros((1, 3)))
+        assert not np.signbit(Y.values).any()
 
     def test_sparsity_retraction_is_exactly_first_order(self, rng):
         # tangent steps never change the support for small t, so the
