@@ -220,6 +220,8 @@ def parse_config(argv) -> tuple:
             raise UsageError(f"missing parameter {_flag(key)}")
         if not getattr(args, key) > 0:
             raise UsageError(f"parameter {key} must be positive")
+    if args.seed < 0 or (args.seeds is not None and args.seeds.start < 0):
+        raise UsageError("seeds must be nonnegative")
     # checks the run parameters; the modes default beta, L^2 / (4 n^2), is positive
     _gotd_config(args, 1.0 if args.beta is None else args.beta)
     return args, args.seeds

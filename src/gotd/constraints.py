@@ -30,8 +30,10 @@ Jacobi preconditioner) and (Dh Dh*)^-1 at any other.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
-work on the factors of a fixed-rank point, at O((m + n) r^2) for a
-factored direction; the Stiefel map acts on the ambient matrix.
+work on a fixed-rank point's ``v`` and the products ``us`` = U Sigma and
+``vs`` = V Sigma it forms once, at O((m + n) r^2) for a factored
+direction (the hyperboloid's column norms are the row norms of ``vs``);
+the Stiefel map acts on the ambient matrix.
 """
 
 import numpy as np
@@ -70,7 +72,7 @@ def _diagonal_solver(g: np.ndarray, part: str):
 
 def _row_sq_norms(X) -> np.ndarray:
     """Squared row norms; from U Sigma alone for a fixed-rank point."""
-    A = X.u * X.sigma if isinstance(X, FactoredPoint) else as_dense(X)
+    A = X.us if isinstance(X, FactoredPoint) else as_dense(X)
     return np.einsum("ij,ij->i", A, A)
 
 
@@ -91,7 +93,7 @@ class ObliqueConstraint:
         _check_shape(self, X, Z)
         if isinstance(X, FactoredPoint):
             # row i of X is (U Sigma)_i V^T, so <X_i, Z_i> = (U Sigma)_i . (Z V)_i
-            return 2.0 * np.einsum("ij,ij->i", X.u * X.sigma, Z @ X.v)
+            return 2.0 * np.einsum("ij,ij->i", X.us, Z @ X.v)
         return 2.0 * np.einsum("ij,ij->i", as_dense(X), as_dense(Z))
 
     def dh_adjoint(self, X, lam: np.ndarray):
@@ -100,7 +102,7 @@ class ObliqueConstraint:
             raise ShapeMismatch(f"expected multiplier of length {self.q}")
         if isinstance(X, FactoredPoint):
             # 2 Diag(lam) X = (2 lam * U Sigma) V^T is tangent at X, with Vp = 0
-            L = 2.0 * lam[:, None] * (X.u * X.sigma)
+            L = 2.0 * lam[:, None] * X.us
             M = X.u.T @ L
             return FixedRankTangent(X.u, X.v, M, L - X.u @ M, np.zeros_like(X.v))
         return 2.0 * lam[:, None] * as_dense(X)
@@ -145,14 +147,13 @@ class HyperboloidConstraint:
 
     def _ja(self, X: FactoredPoint) -> np.ndarray:
         """J U Sigma: column j of J X is (J U Sigma) v_j with v_j row j of V."""
-        return self.j_diag[:, None] * (X.u * X.sigma)
+        return self.j_diag[:, None] * X.us
 
     def value(self, X) -> np.ndarray:
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
-            # x_j^T J x_j = v_j^T (A^T J A) v_j with A = U Sigma
-            A = X.u * X.sigma
-            return np.einsum("ij,ij->i", X.v @ (A.T @ self._ja(X)), X.v) + 1.0
+            # x_j^T J x_j = ||Sigma v_j||^2 - 2 x_0j^2, x_0 = V Sigma U^T e_0
+            return _row_sq_norms(X.vs) - 2.0 * (X.vs @ X.u[0]) ** 2 + 1.0
         X = as_dense(X)
         return np.einsum("ij,ij->j", X, self.j_diag[:, None] * X) + 1.0
 
@@ -177,7 +178,7 @@ class HyperboloidConstraint:
         ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
-            g = _row_sq_norms(X.v * X.sigma)
+            g = _row_sq_norms(X.vs)
         else:
             X = as_dense(X)
             g = np.einsum("ij,ij->j", X, X)
@@ -193,8 +194,8 @@ class HyperboloidConstraint:
         part of Dh* lam = 2 J A V^T Diag(lam) that P_T removes enters B
         through A^T J (I - U U^T) J A = c (Sigma w)(Sigma w)^T with
         c = 4 (1 - ||w||^2), clamped at 0 against rounding.  With
-        a = V Sigma w and F = Diag(a) V (Vandereycken, SIAM J. Optim. 2013,
-        for the tangent algebra),
+        a = V Sigma w, the first row of X, and F = Diag(a) V (Vandereycken,
+        SIAM J. Optim. 2013, for the tangent algebra),
 
             B = 4 (Diag(d) + c F F^T),   d_j = ||Sigma v_j||^2 - c a_j^2,
 
@@ -205,21 +206,20 @@ class HyperboloidConstraint:
             K = I_s + c F^T D^-1 F,
 
         K >= I inverted once here: O(m s^2) to build, O(m s) per call.
-        At any other point (at a sparse one Dh* lam rescales columns of
-        J X, so it keeps the support and B = Dh Dh*), or where some
-        d_j <= WOODBURY_MIN_RATIO ||Sigma v_j||^2, this is
-        ``gram_solver(X)``.
+        Where some d_j <= WOODBURY_MIN_RATIO ||Sigma v_j||^2 it divides by
+        Dh Dh* = Diag(4 ||Sigma v_j||^2) instead; at any other point (at a
+        sparse one Dh* lam rescales columns of J X, so it keeps the
+        support and B = Dh Dh*) it is ``gram_solver(X)``.
         """
         _check_shape(self, X)
         if not isinstance(X, FactoredPoint):
             return self.gram_solver(X)
         V, w = X.v, X.u[0]
         c = max(4.0 * (1.0 - w @ w), 0.0)
-        a = V @ (X.sigma * w)
-        g = (V * V) @ (X.sigma * X.sigma)
+        a, g = X.vs @ w, _row_sq_norms(X.vs)
         d = g - c * a * a
         if not np.all(d > WOODBURY_MIN_RATIO * g):
-            return self.gram_solver(X)
+            return _diagonal_solver(4.0 * g, "column")
         # D^-1 F = Diag(e) V, so F^T D^-1 F = V^T Diag(a e) V
         e = a / d
         W = c * np.linalg.inv(np.eye(X.rank) + c * (V.T @ ((a * e)[:, None] * V)))

@@ -4,13 +4,14 @@ fixed-cardinality (sparsity) set.
 Each manifold implements the same small contract: ``tangent_project``,
 ``retract`` and ``project`` (metric projection from the ambient space).
 Points carry their own structure -- a thin SVD triple for fixed rank,
-the values and the support for sparsity -- and ``dense()`` recovers the
+with U Sigma and V Sigma formed once on first use, the values, the
+support and the 0/1 mask for sparsity -- and ``dense()`` recovers the
 ambient matrix.  Fixed-rank tangent vectors stay factored as well
 (:class:`FixedRankTangent`), and so do low-rank ambient operands
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
 The fixed-rank retraction works on r x r Gram roots of the tangent
-factors and one 2r x 2r SVD, at O((m + n) r^2) with no QR of an m x r
-block.
+factors and one 2r x 2r truncated SVD, at O((m + n) r^2) with no QR of
+an m x r block.
 """
 
 import functools
@@ -20,9 +21,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateStep, NotTangent, RankDeficient, ShapeMismatch
-from .solvers import RANK_RTOL, truncated_svd
+from .solvers import truncated_svd
 
 TANGENT_CHECK_RTOL = 1e-8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,8 @@ class FactoredPoint:
     """Rank-r matrix stored as a thin SVD triple (U, sigma, V).
 
     ``u`` is (m, r) and ``v`` is (n, r), both with orthonormal columns;
-    ``sigma`` holds the positive, nonincreasing singular values.
+    ``sigma`` holds the positive, nonincreasing singular values; the
+    read-only ``us`` = U Sigma and ``vs`` = V Sigma are formed once.
     """
 
     u: np.ndarray
@@ -60,8 +67,16 @@ class FactoredPoint:
     def rank(self) -> int:
         return self.sigma.shape[0]
 
+    @functools.cached_property
+    def us(self) -> np.ndarray:
+        return _read_only(self.u * self.sigma)
+
+    @functools.cached_property
+    def vs(self) -> np.ndarray:
+        return _read_only(self.v * self.sigma)
+
     def dense(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
+        return self.us @ self.v.T
 
 
 def product_entries(A: np.ndarray, B: np.ndarray, rows, cols) -> np.ndarray:
@@ -279,9 +294,7 @@ class SupportPoint:
     def mask(self) -> np.ndarray:
         """The support as a read-only float 0/1 array, built once per
         point."""
-        mask = self.support.astype(float)
-        mask.flags.writeable = False
-        return mask
+        return _read_only(self.support.astype(float))
 
     def dense(self) -> np.ndarray:
         return self.values
@@ -351,7 +364,7 @@ class FixedRankManifold:
         so no m x r block is orthogonalized: the whole step costs
         O((m + n) r^2) with no QR.  Any roots serve, since the top-r
         singular triplets do not depend on the choice, and the rank guard
-        on S keeps the division safe.
+        of :func:`~gotd.solvers.truncated_svd` on S keeps the division safe.
         """
         self._check(X, eta)
         U, s, V = X.u, X.sigma, X.v
@@ -377,21 +390,17 @@ class FixedRankManifold:
         K[:r, :r] = np.diag(s) + M
         K[:r, r:] = _gram_root(Vp).T
         K[r:, :r] = _gram_root(Up)
-        Uk, sk, Vkt = np.linalg.svd(K)
-        if sk[r - 1] <= RANK_RTOL * sk[0]:
-            raise RankDeficient(
-                f"retraction target has numerical rank below {r}"
-            )
+        Uk, S, Vk = truncated_svd(K, r)
         # the lower block rows of K v = s u and K^T u = s v put the
         # components along Up and Vp at Up v1 / s and Vp u1 / s
-        S, u1, v1 = sk[:r], Uk[:r, :r], Vkt[:r, :r].T
+        u1, v1 = Uk[:r], Vk[:r]
         Un = U @ u1 + Up @ (v1 / S)
         Vn = V @ v1 + Vp @ (u1 / S)
         # one Newton step toward the polar factor keeps the columns
         # orthonormal over long iterations without disturbing sigma
         Un = Un @ (1.5 * np.eye(r) - 0.5 * (Un.T @ Un))
         Vn = Vn @ (1.5 * np.eye(r) - 0.5 * (Vn.T @ Vn))
-        return FactoredPoint(Un, S.copy(), Vn)
+        return FactoredPoint(Un, S, Vn)
 
     def project(self, Y: np.ndarray) -> FactoredPoint:
         """Metric projection of an ambient matrix: truncated SVD."""

@@ -250,6 +250,8 @@ def gen_sphere_data(m: int, n: int, r: int, oversampling: float, seed: int) -> S
     entry sets of equal size |Omega| = round(OS * r * (m + n - r)) >= 1."""
     if not 1 <= r <= min(m, n):
         raise ShapeMismatch(f"rank r={r} is outside 1..min(m, n) for {m} x {n}")
+    if not np.isfinite(oversampling):
+        raise DomainViolation(f"oversampling {oversampling} is not finite")
     nobs = round(oversampling * r * (m + n - r))
     if nobs < 1:
         raise InfeasibleSampling(
@@ -277,7 +279,7 @@ def _sample_error(X, runs: _Runs, sample: tuple, target: np.ndarray) -> np.ndarr
     """X[sample] - target, with X read from the factors of a fixed-rank
     point by the row runs of the sample."""
     if isinstance(X, FactoredPoint):
-        sampled = runs.entries(X.u * X.sigma, X.v)
+        sampled = runs.entries(X.us, X.v)
     else:
         sampled = as_dense(X)[sample]
     return sampled - target
@@ -319,7 +321,7 @@ def sphere_value_and_grad(prob: SphereFitProblem, X: FactoredPoint):
     pattern = prob.omega_pattern
     resid = np.empty(len(pattern.rows))
     GV = np.zeros((X.rank, prob.m))
-    for idx, runs, starts, x, Vb in pattern.by_row.blocks_of(X.u * X.sigma, X.v):
+    for idx, runs, starts, x, Vb in pattern.by_row.blocks_of(X.us, X.v):
         x -= prob.target_omega[idx]
         resid[idx] = x
         Vb *= x
@@ -416,7 +418,7 @@ def _lorentz_gaps(prob: HyperbolicFitProblem, X, P=None) -> np.ndarray:
     if isinstance(X, FactoredPoint):
         if P is None:
             P = _signature_pairing(prob, X)
-        u = -np.einsum("ij,ji->i", X.v * X.sigma, P)
+        u = -np.einsum("ij,ji->i", X.vs, P)
     else:
         T = prob.targets
         u = 2.0 * X[0] * T[0] - np.einsum("ij,ij->j", X, T)
@@ -544,6 +546,8 @@ def gen_modes_problem(n: int, p: int, length: float, rho: float) -> CompressedMo
     budget s = round(rho * n * p)."""
     if not 1 <= p <= n:
         raise ShapeMismatch(f"column count p={p} is outside 1..n for n={n}")
+    if not (np.isfinite(length) and np.isfinite(rho)):
+        raise DomainViolation(f"length {length} or rho {rho} is not finite")
     s = round(rho * n * p)
     return CompressedModesProblem(n, p, length, rho, s, length**2 / (4.0 * n**2))
 

@@ -117,6 +117,18 @@ class TestParsing:
         )
         assert list(seeds) == [2, 3, 4]
 
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--seeds=-1..1"])
+    def test_negative_seed_rejected(self, flag):
+        # np.random.default_rng(-1) raises a ValueError, which is no GotdError
+        with pytest.raises(UsageError, match="seeds must be nonnegative"):
+            parse_config(["sphere", "--m", "20", "--n", "18", "--r", "2", "--os", "1.5", flag])
+
+    def test_negative_seed_in_config_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("m = 20\nn = 18\nr = 2\nos = 1.5\nseed = -1\n")
+        with pytest.raises(UsageError, match="seeds must be nonnegative"):
+            parse_config(["sphere", "--config", str(path)])
+
 
 class TestRuns:
     def test_sphere_smoke(self, tmp_path, capsys):
@@ -188,6 +200,27 @@ class TestRuns:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: tail scale") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--m", "20", "--n", "18", "--r", "2", "--os", "inf"],
+        ["modes", "--n", "20", "--p", "3", "--L", "50", "--rho", "inf"],
+        ["modes", "--n", "20", "--p", "3", "--L", "inf", "--rho", "0.5"],
+    ], ids=["os", "rho", "L"])
+    def test_non_finite_size_ratio_exit_code(self, tmp_path, capsys, argv):
+        # each passes the > 0 check of parse_config; the generator rejects it
+        code = main(argv + ["--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "is not finite" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code = main(["sphere", "--m", "20", "--n", "18", "--r", "2", "--os", "1.5",
+                     "--seed", "-1", "--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: seeds must be nonnegative\n"
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["sphere", "--m", "10"]) == 1

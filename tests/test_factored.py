@@ -26,6 +26,7 @@ from gotd import (
     LowRankMatrix,
     NotTangent,
     ObliqueConstraint,
+    RankDeficient,
     RunStatus,
     ShapeMismatch,
     feasibility_direction,
@@ -43,6 +44,7 @@ from gotd import (
 from gotd import algorithm, problems
 from gotd.manifolds import product_entries
 from gotd.problems import CooMatrix, SparsePattern
+from gotd.solvers import truncated_svd
 from oracles import (
     DenseFixedRankManifold,
     collapsed_projector,
@@ -66,6 +68,41 @@ def points(draw, max_dim=9):
 
 def dense_project(man, X, Z):
     return DenseFixedRankManifold(man.m, man.n, man.r).tangent_project(X, Z)
+
+
+def map_outputs(C, X, Z, eta, lam, b) -> list:
+    """The bytes of every factored map of constraint C at X."""
+    adj = C.dh_adjoint(X, lam)
+    arrays = [
+        C.value(X), C.dh(X, Z), C.dh(X, eta),
+        *(getattr(adj, f.name) for f in dataclasses.fields(adj)),
+        C.gram_solver(X)(b), C.reduced_gram_solver(X)(b),
+    ]
+    return [a.tobytes() for a in arrays]
+
+
+class TestPointProducts:
+    def test_products_are_read_only(self, rng):
+        X = random_factored(rng, 6, 5, 2)
+        assert np.array_equal(X.us, X.u * X.sigma) and np.array_equal(X.vs, X.v * X.sigma)
+        assert X.us is X.us and X.vs is X.vs  # formed once
+        for product in (X.us, X.vs):
+            with pytest.raises(ValueError, match="read-only"):
+                product[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                product *= 2.0
+
+    @given(points())
+    def test_maps_at_formed_and_fresh_products_agree_bitwise(self, case):
+        rng, man, X = case
+        Z = rng.standard_normal(X.shape)
+        eta = man.tangent_project(X, Z)
+        X.us, X.vs  # formed before any map runs
+        for C, q in ((ObliqueConstraint(man.m, man.n), man.m),
+                     (HyperboloidConstraint(man.m - 1, man.n), man.n)):
+            lam, b = rng.standard_normal((2, q))
+            fresh = FactoredPoint(X.u, X.sigma, X.v)
+            assert map_outputs(C, X, Z, eta, lam, b) == map_outputs(C, fresh, Z, eta, lam, b)
 
 
 class TestTangentType:
@@ -177,6 +214,16 @@ class TestFactoredRetract:
         with pytest.raises(NotTangent):
             man.retract(X, W - man.tangent_project(X, W))
 
+    def test_rank_dropping_step_raises_through_truncated_svd(self, rng):
+        # eta = -sigma_3 u_3 v_3^T is tangent at X, and X + eta has rank 2;
+        # the message is truncated_svd's
+        man = FixedRankManifold(7, 6, 3)
+        X = random_factored(rng, 7, 6, 3)
+        M = np.diag([0.0, 0.0, -X.sigma[2]])
+        eta = FixedRankTangent(X.u, X.v, M, np.zeros_like(X.u), np.zeros_like(X.v))
+        with pytest.raises(RankDeficient, match="numerical rank below 3: sigma_3 = "):
+            man.retract(X, eta)
+
 
 class TestFactoredOblique:
     @given(points())
@@ -242,6 +289,45 @@ class TestFactoredHyperboloid:
         # <Dh Z, lam> = <Z, Dh* lam> on the factored maps
         lhs, rhs = np.vdot(C.dh(X, Z), lam), np.vdot(Z, adj.dense())
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+    def test_value_at_large_column_norms(self):
+        # columns of norm 1 to about 1e3 on the sheet: x_j^T J x_j + 1
+        # cancels to about 1e-6 of ||x_j||^2 there.  The factored value
+        # ||x_j||^2 - 2 x_0j^2 + 1 and the dense definition on X.dense()
+        # differ by at most 7.3 eps ||x_j||^2 over 20 seeds; the bound is
+        # 1e-14 ||x_j||^2 (45 eps)
+        n, m, s = 12, 200, 4
+        C = HyperboloidConstraint(n, m)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            Z = rng.standard_normal((s - 1, m))
+            Z *= (np.logspace(0, 3, m) / np.sqrt(2.0) / np.linalg.norm(Z, axis=0))[None, :]
+            W = np.linalg.qr(rng.standard_normal((n, s - 1)))[0]
+            top = np.sqrt(1.0 + np.einsum("ij,ij->j", Z, Z))
+            Wy, S, Vy = truncated_svd(np.vstack([top, Z]), s)
+            X = FactoredPoint(np.vstack([Wy[:1], W @ Wy[1:]]), S, Vy)
+            Xd = X.dense()
+            sq_norms = np.einsum("ij,ij->j", Xd, Xd)
+            assert np.sqrt(sq_norms.max()) > 900.0
+            assert np.all(np.abs(C.value(X) - C.value(Xd)) <= 1e-14 * sq_norms)
+
+    def test_woodbury_guard_divides_by_the_column_norms(self, monkeypatch):
+        # ||w||^2 = 1/2 and Sigma v_0 parallel to w give d_0 = 0, so the
+        # guard trips; the fallback is the solve by Dh Dh* = Diag(4 g)
+        r = np.sqrt(0.5)
+        U = np.array([[r, 0.0], [r, 0.0], [0.0, 1.0]])
+        V = np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]])
+        X = FactoredPoint(U, np.array([2.0, 1.0]), V)
+        C = HyperboloidConstraint(2, 3)
+        b = np.array([1.0, -2.0, 3.0])
+        ref = C.gram_solve(X.dense(), b)
+
+        def refuse(self, X):
+            raise AssertionError("gram_solver called by reduced_gram_solver")
+
+        monkeypatch.setattr(HyperboloidConstraint, "gram_solver", refuse)
+        assert np.allclose(C.reduced_gram_solver(X)(b), ref, rtol=1e-14, atol=0.0)
+        assert np.allclose(ref, b / (4.0 * np.array([4.0, 0.36, 0.64])), rtol=1e-14, atol=0.0)
 
     def test_step_builds_no_dense_matrix(self, rng, monkeypatch):
         # both directions and the retraction at a factored hyperbolic point;

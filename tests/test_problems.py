@@ -73,6 +73,11 @@ class TestSphereData:
         with pytest.raises(ShapeMismatch, match=f"rank r={r}"):
             gen_sphere_data(m, n, r, 0.01, 0)
 
+    @pytest.mark.parametrize("oversampling", [np.inf, -np.inf, np.nan])
+    def test_non_finite_oversampling_rejected(self, oversampling):
+        with pytest.raises(DomainViolation, match="oversampling .* is not finite"):
+            gen_sphere_data(10, 10, 2, oversampling, 0)
+
     def test_target_rank(self):
         data = gen_sphere_data(40, 30, 3, 2.0, 0)
         assert np.linalg.matrix_rank(data.target) == 3
@@ -369,6 +374,13 @@ class TestModesProblem:
     def test_column_count_out_of_range(self, p):
         with pytest.raises(ShapeMismatch, match=f"column count p={p}"):
             gen_modes_problem(4, p, 10.0, 0.5)
+
+    @pytest.mark.parametrize("length, rho", [
+        (np.inf, 0.5), (np.nan, 0.5), (10.0, np.inf), (10.0, -np.inf), (10.0, np.nan),
+    ])
+    def test_non_finite_length_or_rho_rejected(self, length, rho):
+        with pytest.raises(DomainViolation, match="is not finite"):
+            gen_modes_problem(4, 2, length, rho)
 
     def test_spectral_bound(self):
         prob = gen_modes_problem(64, 4, 50.0, 0.6)
