@@ -222,7 +222,7 @@ def parse_config(argv) -> tuple:
             raise UsageError(f"parameter {key} must be positive")
     if args.seed < 0 or (args.seeds is not None and args.seeds.start < 0):
         raise UsageError("seeds must be nonnegative")
-    # checks the run parameters; the modes default beta, L^2 / (4 n^2), is positive
+    # checks the run parameters; gen_modes_problem checks the modes default beta
     _gotd_config(args, 1.0 if args.beta is None else args.beta)
     return args, args.seeds
 

@@ -30,10 +30,10 @@ Jacobi preconditioner) and (Dh Dh*)^-1 at any other.
 
 Points X may be manifold points or plain arrays, and directions Z tangent
 vectors, low-rank operands or arrays.  The oblique and hyperboloid maps
-work on a fixed-rank point's ``v`` and the products ``us`` = U Sigma and
-``vs`` = V Sigma it forms once, at O((m + n) r^2) for a factored
-direction (the hyperboloid's column norms are the row norms of ``vs``);
-the Stiefel map acts on the ambient matrix.
+work on a fixed-rank point's ``v`` and on what the point forms once:
+``us`` = U Sigma, ``vs`` = V Sigma and X's squared row and column norms
+(``row_sq_norms``, ``col_sq_norms``), at O((m + n) r^2) for a factored
+direction; the Stiefel map acts on the ambient matrix.
 """
 
 import numpy as np
@@ -71,8 +71,10 @@ def _diagonal_solver(g: np.ndarray, part: str):
 
 
 def _row_sq_norms(X) -> np.ndarray:
-    """Squared row norms; from U Sigma alone for a fixed-rank point."""
-    A = X.us if isinstance(X, FactoredPoint) else as_dense(X)
+    """Squared row norms; a fixed-rank point states its own."""
+    if isinstance(X, FactoredPoint):
+        return X.row_sq_norms
+    A = as_dense(X)
     return np.einsum("ij,ij->i", A, A)
 
 
@@ -153,7 +155,7 @@ class HyperboloidConstraint:
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
             # x_j^T J x_j = ||Sigma v_j||^2 - 2 x_0j^2, x_0 = V Sigma U^T e_0
-            return _row_sq_norms(X.vs) - 2.0 * (X.vs @ X.u[0]) ** 2 + 1.0
+            return X.col_sq_norms - 2.0 * (X.vs @ X.u[0]) ** 2 + 1.0
         X = as_dense(X)
         return np.einsum("ij,ij->j", X, self.j_diag[:, None] * X) + 1.0
 
@@ -178,7 +180,7 @@ class HyperboloidConstraint:
         ||col_j|| = ||Sigma v_j|| for a fixed-rank point."""
         _check_shape(self, X)
         if isinstance(X, FactoredPoint):
-            g = _row_sq_norms(X.vs)
+            g = X.col_sq_norms
         else:
             X = as_dense(X)
             g = np.einsum("ij,ij->j", X, X)
@@ -216,7 +218,7 @@ class HyperboloidConstraint:
             return self.gram_solver(X)
         V, w = X.v, X.u[0]
         c = max(4.0 * (1.0 - w @ w), 0.0)
-        a, g = X.vs @ w, _row_sq_norms(X.vs)
+        a, g = X.vs @ w, X.col_sq_norms
         d = g - c * a * a
         if not np.all(d > WOODBURY_MIN_RATIO * g):
             return _diagonal_solver(4.0 * g, "column")

@@ -4,10 +4,10 @@ fixed-cardinality (sparsity) set.
 Each manifold implements the same small contract: ``tangent_project``,
 ``retract`` and ``project`` (metric projection from the ambient space).
 Points carry their own structure -- a thin SVD triple for fixed rank,
-with U Sigma and V Sigma formed once on first use, the values, the
-support and the 0/1 mask for sparsity -- and ``dense()`` recovers the
-ambient matrix.  Fixed-rank tangent vectors stay factored as well
-(:class:`FixedRankTangent`), and so do low-rank ambient operands
+with U Sigma, V Sigma and X's squared row and column norms formed once,
+the values, the support and the 0/1 mask for sparsity -- and ``dense()``
+recovers the ambient matrix.  Fixed-rank tangent vectors stay factored
+as well (:class:`FixedRankTangent`), and so do low-rank ambient operands
 (:class:`LowRankMatrix`), so a fixed-rank step needs no m x n array.
 The fixed-rank retraction works on r x r Gram roots of the tangent
 factors and one 2r x 2r truncated SVD, at O((m + n) r^2) with no QR of
@@ -37,7 +37,8 @@ class FactoredPoint:
 
     ``u`` is (m, r) and ``v`` is (n, r), both with orthonormal columns;
     ``sigma`` holds the positive, nonincreasing singular values; the
-    read-only ``us`` = U Sigma and ``vs`` = V Sigma are formed once.
+    read-only ``us`` = U Sigma, ``vs`` = V Sigma and their squared row
+    norms, X's ``row_sq_norms`` and ``col_sq_norms``, are formed once.
     """
 
     u: np.ndarray
@@ -74,6 +75,14 @@ class FactoredPoint:
     @functools.cached_property
     def vs(self) -> np.ndarray:
         return _read_only(self.v * self.sigma)
+
+    @functools.cached_property
+    def row_sq_norms(self) -> np.ndarray:
+        return _read_only(np.einsum("ij,ij->i", self.us, self.us))
+
+    @functools.cached_property
+    def col_sq_norms(self) -> np.ndarray:
+        return _read_only(np.einsum("ij,ij->i", self.vs, self.vs))
 
     def dense(self) -> np.ndarray:
         return self.us @ self.v.T

@@ -394,10 +394,14 @@ def gen_hyperbolic_data(
     Z = 0.5 * rng.standard_normal((r_true, m))
     W = np.linalg.qr(rng.standard_normal((n, r_true)))[0]
     spatial = W @ Z
-    if tail_scale > 0.0:
-        spatial = spatial + tail_scale * rng.standard_normal((n, m))
-    top = np.sqrt(1.0 + np.einsum("ij,ij->j", spatial, spatial))
-    return HyperbolicFitProblem(np.vstack([top, spatial]), n, m, r_true, seed, tail_scale)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        if tail_scale > 0.0:
+            spatial = spatial + tail_scale * rng.standard_normal((n, m))
+        top = np.sqrt(1.0 + np.einsum("ij,ij->j", spatial, spatial))
+    targets = np.vstack([top, spatial])
+    if not np.all(np.isfinite(targets)):
+        raise DomainViolation(f"tail scale {tail_scale} lifts targets past the float range")
+    return HyperbolicFitProblem(targets, n, m, r_true, seed, tail_scale)
 
 
 def _signature_pairing(prob: HyperbolicFitProblem, X: FactoredPoint) -> np.ndarray:
@@ -429,36 +433,39 @@ def _lorentz_gaps(prob: HyperbolicFitProblem, X, P=None) -> np.ndarray:
     return u
 
 
-def _gradient_weights(u: np.ndarray) -> np.ndarray:
+def _distances(u: np.ndarray):
+    """(arccosh(max(u, 1)), arccos(min(u, 1))); one of each pair is an exact 0."""
+    return np.arccosh(np.maximum(u, 1.0)), np.arccos(np.minimum(u, 1.0))
+
+
+def _gradient_weights(u: np.ndarray, dist) -> np.ndarray:
     """w = -2 g(u) with g(u) = arccosh(u)/sqrt(u^2-1), continued by
     arccos(u)/sqrt(1-u^2) below u = 1 and by the series 1 - (u - 1)/3
-    for |u - 1| <= ARCCOSH_SERIES_CUT."""
+    for |u - 1| <= ARCCOSH_SERIES_CUT; ``dist`` is ``_distances(u)``."""
     above = u > 1.0 + ARCCOSH_SERIES_CUT
     below = u < 1.0 - ARCCOSH_SERIES_CUT
     us = np.where(above, u, 2.0)
     ub = np.where(below, u, 0.5)
-    g = np.where(above, np.arccosh(us) / np.sqrt(us * us - 1.0), 1.0 - (u - 1.0) / 3.0)
-    g = np.where(below, np.arccos(ub) / np.sqrt(1.0 - ub * ub), g)
+    g = np.where(above, dist[0] / np.sqrt(us * us - 1.0), 1.0 - (u - 1.0) / 3.0)
+    g = np.where(below, dist[1] / np.sqrt(1.0 - ub * ub), g)
     return -2.0 * g
 
 
-def _squared_distance_sum(u: np.ndarray) -> float:
-    """Sum of arccosh(u)^2, continued by -arccos(u)^2 below u = 1; one
-    term is an exact zero, so u >= 1 gives arccosh(u)^2 bit for bit."""
-    return float(np.sum(
-        np.arccosh(np.maximum(u, 1.0)) ** 2 - np.arccos(np.minimum(u, 1.0)) ** 2
-    ))
+def _squared_distance_sum(dist) -> float:
+    """Sum of arccosh(u)^2, continued by -arccos(u)^2 below u = 1."""
+    return float(np.sum(dist[0] ** 2 - dist[1] ** 2))
 
 
 def hyperbolic_objective(prob: HyperbolicFitProblem, X) -> float:
     """Sum of squared hyperbolic distances to the targets, continued off the sheet."""
-    return _squared_distance_sum(_lorentz_gaps(prob, X))
+    return _squared_distance_sum(_distances(_lorentz_gaps(prob, X)))
 
 
 def hyperbolic_grad(prob: HyperbolicFitProblem, X) -> np.ndarray:
     """Column i is -2 g(u_i) J target_i with g(u) = arccosh(u)/sqrt(u^2-1),
     continued as in :func:`_gradient_weights`."""
-    out = prob.targets * _gradient_weights(_lorentz_gaps(prob, X))[None, :]
+    u = _lorentz_gaps(prob, X)
+    out = prob.targets * _gradient_weights(u, _distances(u))[None, :]
     out[0] = -out[0]
     return out
 
@@ -475,8 +482,9 @@ def hyperbolic_value_and_grad(prob: HyperbolicFitProblem, X: FactoredPoint):
     """
     P = _signature_pairing(prob, X)
     u = _lorentz_gaps(prob, X, P)
-    w = _gradient_weights(u)
-    f_val = _squared_distance_sum(u)
+    dist = _distances(u)
+    w = _gradient_weights(u, dist)
+    f_val = _squared_distance_sum(dist)
     # (V^T Diag(w)) T^T, an s x (n+1) product, is the faster GEMM layout
     GV = ((X.v.T * w) @ prob.targets.T).T
     GV[0] = -GV[0]
@@ -543,13 +551,27 @@ class CompressedModesProblem:
 
 def gen_modes_problem(n: int, p: int, length: float, rho: float) -> CompressedModesProblem:
     """Hamiltonian on [0, length] with n interior grid points; sparsity
-    budget s = round(rho * n * p)."""
+    budget s = round(rho * n * p).  DomainViolation unless length > 0 and
+    both the Hamiltonian scale 1/(2 h^2), h = length/(n + 1), and the
+    default step length^2/(4 n^2) are positive finite floats."""
     if not 1 <= p <= n:
         raise ShapeMismatch(f"column count p={p} is outside 1..n for n={n}")
     if not (np.isfinite(length) and np.isfinite(rho)):
         raise DomainViolation(f"length {length} or rho {rho} is not finite")
+    if not length > 0.0:
+        raise DomainViolation(f"length {length} is not positive")
+    h = length / (n + 1)
+    try:
+        scale, beta = 1.0 / (2.0 * h * h), length**2 / (4.0 * n**2)
+    except (OverflowError, ZeroDivisionError):
+        scale = beta = 0.0
+    if not (0.0 < scale < np.inf and 0.0 < beta < np.inf):
+        raise DomainViolation(
+            f"length {length} takes the Hamiltonian scale 1/(2 h^2) or the "
+            "default step length^2/(4 n^2) out of the positive floats"
+        )
     s = round(rho * n * p)
-    return CompressedModesProblem(n, p, length, rho, s, length**2 / (4.0 * n**2))
+    return CompressedModesProblem(n, p, length, rho, s, beta)
 
 
 def modes_objective(prob: CompressedModesProblem, X) -> float:

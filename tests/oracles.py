@@ -26,6 +26,7 @@ from gotd import (
     sphere_objective,
     sphere_test_error,
 )
+from gotd.problems import ARCCOSH_SERIES_CUT
 from gotd.solvers import RANK_RTOL, pinv_apply
 
 
@@ -140,6 +141,27 @@ def quartic_hyperboloid_project(Y: np.ndarray) -> np.ndarray:
         out[0, j] = y0 / (1.0 - mu)
         out[1:, j] = Y[1:, j] / (1.0 + mu)
     return out
+
+
+def standalone_gradient_weights(u: np.ndarray) -> np.ndarray:
+    """The hyperbolic gradient weights w = -2 g(u) of
+    ``problems._gradient_weights``, taking arccosh and arccos of u itself
+    on the branches where it uses them."""
+    above = u > 1.0 + ARCCOSH_SERIES_CUT
+    below = u < 1.0 - ARCCOSH_SERIES_CUT
+    us = np.where(above, u, 2.0)
+    ub = np.where(below, u, 0.5)
+    g = np.where(above, np.arccosh(us) / np.sqrt(us * us - 1.0), 1.0 - (u - 1.0) / 3.0)
+    g = np.where(below, np.arccos(ub) / np.sqrt(1.0 - ub * ub), g)
+    return -2.0 * g
+
+
+def standalone_squared_distance_sum(u: np.ndarray) -> float:
+    """Sum of arccosh(u)^2, continued by -arccos(u)^2 below u = 1, taking
+    both transcendentals of u itself."""
+    return float(np.sum(
+        np.arccosh(np.maximum(u, 1.0)) ** 2 - np.arccos(np.minimum(u, 1.0)) ** 2
+    ))
 
 
 def tangent_basis_fixed_rank(X: FactoredPoint):

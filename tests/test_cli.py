@@ -215,6 +215,19 @@ class TestRuns:
         assert captured.err.startswith("error:") and "is not finite" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["modes", "--n", "20", "--p", "3", "--L", "1e200", "--rho", "0.5"], "error: length 1e+200"),
+        (["modes", "--n", "20", "--p", "3", "--L", "1e-300", "--rho", "0.5"], "error: length 1e-300"),
+        (["hyperbolic", "--n", "5", "--m", "10", "--r-true", "2", "--r", "2",
+          "--tail", "1e200", "--max-iter", "2"], "error: tail scale 1e+200"),
+    ], ids=["L-overflow", "L-underflow", "tail-overflow"])
+    def test_parameter_out_of_float_range_exit_code(self, tmp_path, capsys, argv, message):
+        code = main(argv + ["--out", str(tmp_path / "trace.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = main(["sphere", "--m", "20", "--n", "18", "--r", "2", "--os", "1.5",
                      "--seed", "-1", "--out", str(tmp_path / "trace.csv")])

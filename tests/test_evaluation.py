@@ -43,11 +43,14 @@ from gotd import (
     sphere_objective,
 )
 from gotd import algorithm, problems
+from gotd.problems import ARCCOSH_SERIES_CUT
 from oracles import (
     dense_modes_problem,
     feasible_hyperboloid_lowrank,
     random_factored,
     random_support_point,
+    standalone_gradient_weights,
+    standalone_squared_distance_sum,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -109,6 +112,34 @@ class TestFusedEvaluation:
         problem = make_hyperbolic_problem(data, 2)
         with pytest.raises(DomainViolation):
             problem.value_and_grad(flipped)
+
+
+class TestSharedDistances:
+    def test_weights_and_objective_match_standalone_forms_bitwise(self):
+        # below the series band, inside it, just above 1, and up to 1e6
+        cut = ARCCOSH_SERIES_CUT
+        u = np.concatenate([
+            np.linspace(1e-3, 1.0 - 2.0 * cut, 50), 1.0 - np.array([1.5, 1.0]) * cut,
+            1.0 + np.linspace(-cut, cut, 21), 1.0 + np.array([1.0, 1.5, 2.0, 10.0]) * cut,
+            np.nextafter(1.0, [0.0, 2.0]), 1.0 + np.logspace(-7, -1, 13), np.logspace(0.1, 6, 40),
+        ])
+        dist = problems._distances(u)
+        assert np.array_equal(problems._gradient_weights(u, dist), standalone_gradient_weights(u))
+        for part in (u[u < 1.0], u[u >= 1.0], u):
+            assert problems._squared_distance_sum(problems._distances(part)) == (
+                standalone_squared_distance_sum(part)
+            )
+
+    def test_value_and_grad_evaluates_each_transcendental_once(self, monkeypatch):
+        calls = {"arccosh": 0, "arccos": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        problem, x0, _, _ = _pairs()["hyperbolic"]
+        problem.value_and_grad(x0)
+        assert calls == {"arccosh": 1, "arccos": 1}
 
 
 class TestHamiltonianStencil:
@@ -187,6 +218,25 @@ class TestOneEvaluationPerIterate:
         finally:
             tracemalloc.stop()
         assert peak < data.targets.nbytes / 2
+
+    @pytest.mark.parametrize("pair", ["sphere", "hyperbolic"])
+    def test_point_forms_each_norm_vector_once(self, pair, monkeypatch):
+        # h, the Gram solve of G_h and the reduced Gram solver of G_f read
+        # the same squared norms of the point's rows (sphere) or columns
+        # (hyperbolic); only the point's cached property forms them
+        operands = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            operands.append(args[1:])
+            return einsum(*args, **kwargs)
+
+        problem, x0, _, _ = _pairs()[pair]
+        monkeypatch.setattr(np, "einsum", spy)
+        algorithm._evaluate(problem, x0)
+        formed = [ops for ops in operands
+                  if len(ops) == 2 and ops[0] is ops[1] and (ops[0] is x0.us or ops[0] is x0.vs)]
+        assert len(formed) == 1
 
     def test_modes_factors_the_gram_once_per_iterate(self, monkeypatch):
         calls = []

@@ -85,10 +85,13 @@ class TestPointProducts:
     def test_products_are_read_only(self, rng):
         X = random_factored(rng, 6, 5, 2)
         assert np.array_equal(X.us, X.u * X.sigma) and np.array_equal(X.vs, X.v * X.sigma)
-        assert X.us is X.us and X.vs is X.vs  # formed once
-        for product in (X.us, X.vs):
+        assert np.array_equal(X.row_sq_norms, np.einsum("ij,ij->i", X.us, X.us))
+        assert np.array_equal(X.col_sq_norms, np.einsum("ij,ij->i", X.vs, X.vs))
+        products = (X.us, X.vs, X.row_sq_norms, X.col_sq_norms)
+        assert all(a is b for a, b in zip(products, (X.us, X.vs, X.row_sq_norms, X.col_sq_norms)))
+        for product in products:  # formed once, and read-only
             with pytest.raises(ValueError, match="read-only"):
-                product[0, 0] = 1.0
+                product[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 product *= 2.0
 
@@ -97,7 +100,7 @@ class TestPointProducts:
         rng, man, X = case
         Z = rng.standard_normal(X.shape)
         eta = man.tangent_project(X, Z)
-        X.us, X.vs  # formed before any map runs
+        X.row_sq_norms, X.col_sq_norms  # formed, with us and vs, before any map runs
         for C, q in ((ObliqueConstraint(man.m, man.n), man.m),
                      (HyperboloidConstraint(man.m - 1, man.n), man.n)):
             lam, b = rng.standard_normal((2, q))

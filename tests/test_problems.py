@@ -231,6 +231,13 @@ class TestHyperbolicData:
         with pytest.raises(DomainViolation, match="tail scale"):
             gen_hyperbolic_data(3, 10, 2, 0, tail_scale=tail)
 
+    @pytest.mark.parametrize("tail", [1e200, 1e308])
+    def test_tail_scale_past_the_float_range_rejected(self, tail):
+        # the lifted top row sqrt(1 + ||spatial_j||^2) would be inf; no
+        # overflow warning is printed on the way
+        with pytest.raises(DomainViolation, match="tail scale .* past the float range"):
+            gen_hyperbolic_data(5, 10, 2, 0, tail_scale=tail)
+
     def test_full_rank_signal(self):
         assert gen_hyperbolic_data(3, 10, 3, 0).targets.shape == (4, 10)
 
@@ -381,6 +388,24 @@ class TestModesProblem:
     def test_non_finite_length_or_rho_rejected(self, length, rho):
         with pytest.raises(DomainViolation, match="is not finite"):
             gen_modes_problem(4, 2, length, rho)
+
+    @pytest.mark.parametrize("length", [0.0, -0.0, -1.0])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(DomainViolation, match="length .* is not positive"):
+            gen_modes_problem(20, 3, length, 0.5)
+
+    @pytest.mark.parametrize("length", [1e200, 1e160, 1e-160, 1e-300, 5e-324])
+    def test_length_out_of_float_range_rejected(self, length):
+        # length^2 overflows (a Python OverflowError) or the default step
+        # length^2/(4 n^2) or the Hamiltonian scale 1/(2 h^2) under- or
+        # overflows
+        with pytest.raises(DomainViolation, match="length .* out of the positive floats"):
+            gen_modes_problem(20, 3, length, 0.5)
+
+    def test_default_step_is_the_stated_expression(self):
+        for n, length in ((128, 50.0), (20, 1e150), (20, 1e-150), (1024, 3.7)):
+            prob = gen_modes_problem(n, 3, length, 0.5)
+            assert prob.beta_default == length**2 / (4.0 * n**2) > 0.0
 
     def test_spectral_bound(self):
         prob = gen_modes_problem(64, 4, 50.0, 0.6)
