@@ -177,29 +177,24 @@ def _value_and_gradient(problem: Problem, point):
     return None, problem.grad_f(point)
 
 
-def optimality_direction(problem: Problem, point, grad=None):
+def optimality_direction(problem: Problem, point):
     """Projection of -grad f onto S(X) by
-    :func:`tangent_intersection_project`.
-
-    ``grad`` is the gradient at the point when the caller has it already
-    (it may be tangent-projected); without it, it is read as
-    :func:`gotd_run` reads it.
-    """
-    if grad is None:
-        grad = _value_and_gradient(problem, point)[1]
+    :func:`tangent_intersection_project`, with the gradient read as
+    :func:`gotd_run` reads it."""
+    grad = _value_and_gradient(problem, point)[1]
     return tangent_intersection_project(problem.manifold, problem.constraint, point, -grad)
 
 
 def _evaluate(problem: Problem, point):
     """(f, ||h||, G_h, G_f) at a point, from one evaluation of f and its
-    gradient and one of h; G_h factors Dh Dh*, and G_f builds the
-    preconditioner of its reduced Gram operator (see
-    :func:`tangent_intersection_project`)."""
+    gradient and one of h; G_h factors Dh Dh*, and G_f hands -grad f to
+    :func:`tangent_intersection_project`, which builds the preconditioner
+    of its reduced Gram operator."""
     f_val, grad = _value_and_gradient(problem, point)
     f_val = problem.f(point) if f_val is None else f_val
     hv = problem.constraint.value(point)
     gh = feasibility_direction(problem.manifold, problem.constraint, point, hv)
-    gf = optimality_direction(problem, point, grad)
+    gf = tangent_intersection_project(problem.manifold, problem.constraint, point, -grad)
     return float(f_val), float(np.linalg.norm(hv)), gh, gf
 
 

@@ -16,7 +16,6 @@ an m x r block.
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -113,8 +112,8 @@ class FixedRankTangent:
         eta = U M V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0
 
     (Vandereycken, SIAM J. Optim. 2013).  The three terms are mutually
-    orthogonal, so ||eta||^2 = ||M||^2 + ||Up||^2 + ||Vp||^2 and norms and
-    inner products cost O((m + n) r).
+    orthogonal, so ||eta||^2 = ||M||^2 + ||Up||^2 + ||Vp||^2 and the norm
+    costs O((m + n) r).
 
     Sums, differences and scalar multiples of tangent vectors at the same
     point stay factored.  Any other arithmetic, and ``np.asarray``, falls
@@ -183,14 +182,6 @@ class FixedRankTangent:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(a, a) for a in (self.M, self.Up, self.Vp))))
-
-    def inner(self, other: "FixedRankTangent") -> float:
-        """Frobenius inner product with a tangent vector at the same point."""
-        if not (isinstance(other, FixedRankTangent) and other.at(self)):
-            raise ShapeMismatch("inner product needs two tangent vectors at one point")
-        return float(
-            np.vdot(self.M, other.M) + np.vdot(self.Up, other.Up) + np.vdot(self.Vp, other.Vp)
-        )
 
     def __matmul__(self, W):
         VtW = self.v.T @ W
@@ -271,8 +262,8 @@ class LowRankMatrix:
 @dataclass(frozen=True)
 class SupportPoint:
     """Matrix with exactly s entries in its support: its ``values`` and
-    the boolean ``support``, the nonzeros of ``values`` when not given.
-    A value on the support may be 0.0; values off it are zero.
+    the boolean ``support``.  A value on the support may be 0.0; values
+    off it are zero.
 
     The size ``nnz`` and the read-only float 0/1 ``mask`` that
     :meth:`SparsityManifold.tangent_project` multiplies by are derived
@@ -280,14 +271,12 @@ class SupportPoint:
     """
 
     values: np.ndarray
-    support: Optional[np.ndarray] = None
+    support: np.ndarray
 
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ShapeMismatch("expected a matrix of values")
-        if self.support is None:
-            object.__setattr__(self, "support", self.values != 0.0)
-        elif self.support.shape != self.values.shape:
+        if self.support.shape != self.values.shape:
             raise ShapeMismatch("support and values differ in shape")
 
     @property

@@ -499,10 +499,18 @@ def init_hyperbolic(prob: HyperbolicFitProblem, r: int) -> FactoredPoint:
     matrix spatial spatial^T; the result depends only on U_r U_r^T.  The
     lifted matrix [top; U_r Z_r] is B Y with B = diag(1, U_r), whose
     columns are orthonormal, and Y = [top; Z_r] of size (r+1) x m, so the
-    SVD W S Z^T of Y gives its SVD (B W) S Z^T.
+    SVD W S Z^T of Y gives its SVD (B W) S Z^T.  Raises DomainViolation
+    when that Gram matrix leaves the float range, which a tail that the
+    generator accepts can do when m > n.
     """
     spatial = prob.targets[1:, :]
-    Ur = np.linalg.eigh(spatial @ spatial.T)[1][:, ::-1][:, :r]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        gram = spatial @ spatial.T
+    if not np.all(np.isfinite(gram)):
+        raise DomainViolation(
+            f"tail scale {prob.tail_scale} takes the spatial Gram matrix past the float range"
+        )
+    Ur = np.linalg.eigh(gram)[1][:, ::-1][:, :r]
     Zr = Ur.T @ spatial
     top = np.sqrt(1.0 + np.einsum("ij,ij->j", Zr, Zr))
     W, S, Z = truncated_svd(np.vstack([top, Zr]), r + 1)

@@ -67,7 +67,7 @@ def pcg(
     precond: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_iter: int,
-    lift: Callable[[np.ndarray], object] = lambda v: v,
+    lift: Callable[[np.ndarray], object],
 ) -> PcgResult:
     """Preconditioned conjugate gradients for the symmetric PSD operator
     v -> A(lift(v)), given as the two callables, on arrays of any shape
@@ -80,8 +80,8 @@ def pcg(
     lift(x) pays no further lift; otherwise it costs one more lift.
     Summing the lifted directions beside x would cost one update in the
     lifted space per iteration instead, more than one lift where the lift
-    is as cheap as a masked product (the modes pair).  Without ``lift``,
-    the operator is A and ``lifted`` equals x.
+    is as cheap as a masked product (the modes pair).  With the identity
+    ``lift``, the operator is A and ``lifted`` equals x.
 
     Stops when ||A lift(x) - b|| <= tol * ||b||.  Raises NotConverged
     when max_iter iterations (possibly none) do not reach that, or when

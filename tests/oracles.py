@@ -43,6 +43,11 @@ def random_support_point(rng, m, n, s):
     return SparsityManifold(m, n, s).project(rng.standard_normal((m, n)))
 
 
+def nonzero_point(values: np.ndarray) -> SupportPoint:
+    """The sparse point whose support is the nonzeros of ``values``."""
+    return SupportPoint(values, values != 0.0)
+
+
 def disjoint_support_point(rng) -> SupportPoint:
     """A 6 x 3 sparse point whose columns 0 and 1 have disjoint supports:
     P_T kills the adjoint image of their off-diagonal multiplier, so the
@@ -51,7 +56,7 @@ def disjoint_support_point(rng) -> SupportPoint:
     support[[0, 1, 2], 0] = True
     support[[3, 4, 5], 1] = True
     support[[0, 3, 4], 2] = True
-    return SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0))
+    return SupportPoint(np.where(support, rng.uniform(0.5, 1.5, (6, 3)), 0.0), support)
 
 
 def feasible_oblique_lowrank(rng, m, n, r) -> FactoredPoint:
@@ -194,7 +199,7 @@ def hard_threshold(Y: np.ndarray, s: int) -> SupportPoint:
     keep = np.argsort(-np.abs(flat), kind="stable")[:s]
     out = np.zeros(flat.size)
     out[keep] = flat[keep]
-    return SupportPoint(out.reshape(Y.shape))
+    return nonzero_point(out.reshape(Y.shape))
 
 
 def tangent_basis_sparsity(X):

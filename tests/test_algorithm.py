@@ -465,7 +465,7 @@ class TestStepAndRun:
         ("beta", np.nan), ("beta", np.inf), ("beta", -1.0),
         ("tol", np.nan), ("tol", -1e-12),
         ("max_iter", 1.5), ("max_iter", 10.0), ("trace_every", 1.5), ("trace_every", "2"),
-        ("max_iter", True), ("trace_every", True),
+        ("max_iter", True), ("trace_every", True), ("max_iter", -1), ("trace_every", 0),
     ])
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError):
@@ -778,6 +778,12 @@ class TestTraceCsv:
             "1,1.0,2.0\n"
         )
         with pytest.raises(ValueError, match="trace row 3 has 3 fields"):
+            read_trace_csv(path)
+
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,time_s,f\n0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="unexpected trace header"):
             read_trace_csv(path)
 
     def test_non_numeric_field(self, tmp_path):

@@ -97,6 +97,25 @@ class TestParsing:
                  "--seeds", "5..2"]
             )
 
+    def test_seeds_not_a_range_rejected(self):
+        with pytest.raises(UsageError, match="expected A..B, got 'abc'"):
+            parse_config(
+                ["sphere", "--m", "10", "--n", "10", "--r", "1", "--os", "1",
+                 "--seeds", "abc"]
+            )
+
+    def test_config_comment_only_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# sphere run\n\n   # indented comment\nm = 30\nn = 25\nr = 2\nos = 1.5\n")
+        cfg, _ = parse_config(["sphere", "--config", str(path)])
+        assert (cfg.m, cfg.n, cfg.r, cfg.os) == (30, 25, 2, 1.5)
+
+    def test_config_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("m = 30\nn 25\n")
+        with pytest.raises(UsageError, match=r"run\.cfg:2: expected key=value$"):
+            parse_config(["sphere", "--config", str(path)])
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("m = 30\nn = 25 # trailing comment\nr = 2\nos = 1.5\nbeta = 0.5\n")
@@ -220,7 +239,9 @@ class TestRuns:
         (["modes", "--n", "20", "--p", "3", "--L", "1e-300", "--rho", "0.5"], "error: length 1e-300"),
         (["hyperbolic", "--n", "5", "--m", "10", "--r-true", "2", "--r", "2",
           "--tail", "1e200", "--max-iter", "2"], "error: tail scale 1e+200"),
-    ], ids=["L-overflow", "L-underflow", "tail-overflow"])
+        (["hyperbolic", "--n", "2", "--m", "200", "--r-true", "1", "--r", "1",
+          "--tail", "1e153", "--max-iter", "2"], "error: tail scale 1e+153"),
+    ], ids=["L-overflow", "L-underflow", "tail-overflow", "tail-gram-overflow"])
     def test_parameter_out_of_float_range_exit_code(self, tmp_path, capsys, argv, message):
         code = main(argv + ["--out", str(tmp_path / "trace.csv")])
         assert code == 1

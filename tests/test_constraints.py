@@ -13,13 +13,14 @@ from gotd import (
     ShapeMismatch,
     SparsityManifold,
     StiefelConstraint,
-    SupportPoint,
 )
+from gotd import constraints
 from oracles import (
     disjoint_support_point,
     fd_dh_check,
     feasible_hyperboloid_lowrank,
     multiplier_basis,
+    nonzero_point,
     quartic_hyperboloid_project,
     random_support_point,
     reduced_gram_matrix,
@@ -86,7 +87,8 @@ class TestValues:
         lam = random_multiplier(C, rng)
         for call in (lambda: C.value(wrong), lambda: C.dh(wrong, wrong),
                      lambda: C.dh_adjoint(wrong, lam), lambda: C.gram_solver(wrong),
-                     lambda: C.reduced_gram_solver(SupportPoint(wrong)),
+                     lambda: C.reduced_gram_solver(nonzero_point(wrong)),
+                     lambda: C.reduced_gram_solver(wrong),
                      lambda: C.dh(X, X[:, :-1])):
             with pytest.raises(ShapeMismatch):
                 call()
@@ -159,9 +161,16 @@ class TestAdjoints:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_stiefel_multiplier_shape_checked(self, rng):
+        # the Stiefel map takes a p x p multiplier, not a q-vector; the
+        # oblique and hyperboloid maps take a vector of length q only
         C, X = make_instance("stiefel", rng)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="multiplier"):
             C.dh_adjoint(X, np.zeros(C.q))
+        for kind in ("oblique", "hyperboloid"):
+            C, X = make_instance(kind, rng)
+            for lam in (np.zeros(C.q + 1), np.zeros((C.q, 1))):
+                with pytest.raises(ShapeMismatch, match=f"multiplier of length {C.q}"):
+                    C.dh_adjoint(X, lam)
 
 
 class TestGramSolve:
@@ -228,6 +237,12 @@ class TestGramSolve:
         with pytest.raises(IllConditioned):
             C.gram_solve(X, np.ones((2, 2)))
 
+    def test_stiefel_reduced_gram_solver_off_sparse_points_is_gram_solver(self, rng):
+        C, X = make_instance("stiefel", rng)
+        b = random_multiplier(C, rng)
+        for point in (X, FixedRankManifold(6, 3, 3).project(X)):
+            assert np.array_equal(C.reduced_gram_solver(point)(b), C.gram_solver(point)(b))
+
 
 class TestMaskedGramSolver:
     @staticmethod
@@ -285,13 +300,13 @@ class TestMaskedGramSolver:
         X = np.where(rng.random(X.shape) < density, X, 0.0)
         X[:, 0] = X[0] = 1.0  # no zero row or column
         b = random_multiplier(C, rng)
-        masked = C.reduced_gram_solver(SupportPoint(X))(b)
+        masked = C.reduced_gram_solver(nonzero_point(X))(b)
         assert np.array_equal(masked, C.gram_solver(X)(b))
 
     def test_stiefel_zero_point_rejected(self):
         C = StiefelConstraint(4, 2)
         with pytest.raises(IllConditioned, match="trace 0.0"):
-            C.reduced_gram_solver(SupportPoint(np.zeros((4, 2))))
+            C.reduced_gram_solver(nonzero_point(np.zeros((4, 2))))
 
 
 def with_top_row(rng, rows, top) -> np.ndarray:
@@ -370,7 +385,7 @@ class TestHyperboloidReducedGramSolver:
         C = HyperboloidConstraint(4, 6)
         b = rng.standard_normal(6)
         dense = X.dense()
-        sparse = SupportPoint(dense)
+        sparse = nonzero_point(dense)
         assert np.array_equal(C.reduced_gram_solver(dense)(b), C.gram_solver(dense)(b))
         assert np.array_equal(C.reduced_gram_solver(sparse)(b), C.gram_solver(sparse)(b))
 
@@ -416,6 +431,14 @@ class TestProjections:
         P = C.project(Y)
         assert np.abs(C.value(P)).max() <= 1e-10
         assert np.all(P[0] > 0)
+
+    def test_hyperboloid_secular_budget_exhausted(self, rng, monkeypatch):
+        monkeypatch.setattr(constraints, "SECULAR_MAX_ITER", 1)
+        C = HyperboloidConstraint(3, 4)
+        Y = rng.standard_normal((4, 4))
+        Y[0] = np.abs(Y[0]) + 0.1
+        with pytest.raises(DegenerateProjection, match="secular iteration did not converge"):
+            C.project(Y)
 
     def test_hyperboloid_local_optimality_sampling(self, rng):
         C = HyperboloidConstraint(3, 1)

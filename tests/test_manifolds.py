@@ -17,6 +17,7 @@ from gotd import (
 from oracles import (
     hard_threshold,
     loglog_slope,
+    nonzero_point,
     project_onto_basis,
     random_factored,
     random_support_point,
@@ -35,6 +36,10 @@ class TestFactoredPoint:
             FactoredPoint(U, np.array([1.0, 2.0]), V)  # increasing
         with pytest.raises(RankDeficient):
             FactoredPoint(U, np.array([1.0, 0.0]), V)  # zero singular value
+        with pytest.raises(ShapeMismatch, match="expected u"):
+            FactoredPoint(U[:, 0], np.array([1.0]), V[:, :1])  # u not a matrix
+        with pytest.raises(ShapeMismatch, match="widths"):
+            FactoredPoint(U, np.array([2.0, 1.0]), V[:, :1])
 
     def test_dense(self, rng):
         X = random_factored(rng, 5, 4, 2)
@@ -88,6 +93,17 @@ class TestFixedRankTangentProject:
         X = random_factored(rng, 5, 4, 2)
         with pytest.raises(ShapeMismatch):
             man.tangent_project(X, np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_rank_out_of_range(self, r):
+        with pytest.raises(ShapeMismatch, match=f"rank {r} out of range"):
+            FixedRankManifold(5, 4, r)
+
+    def test_point_of_another_manifold_rejected(self, rng):
+        man = FixedRankManifold(5, 4, 2)
+        for X in (random_factored(rng, 5, 4, 3), random_factored(rng, 4, 5, 2)):
+            with pytest.raises(ShapeMismatch, match="does not belong"):
+                man.tangent_project(X, np.zeros((5, 4)))
 
 
 class TestFixedRankRetract:
@@ -147,6 +163,10 @@ class TestFixedRankProject:
         full = FixedRankManifold(3, 3, 3).project(np.eye(3))
         assert np.allclose(full.dense(), np.eye(3), atol=1e-12)
 
+    def test_ambient_shape_checked(self):
+        with pytest.raises(ShapeMismatch, match="expected ambient shape"):
+            FixedRankManifold(6, 5, 2).project(np.ones((5, 6)))
+
     def test_idempotent(self, rng):
         man = FixedRankManifold(6, 5, 2)
         Y = rng.standard_normal((6, 5))
@@ -164,15 +184,9 @@ class TestFixedRankProject:
 
 
 class TestSupportPoint:
-    def test_support_derived_from_values(self):
-        X = SupportPoint(np.array([[1.0, 0.0], [-2.0, 0.0]]))
-        assert np.array_equal(X.support, [[True, False], [True, False]])
-        assert X.nnz == 2 and X.support is X.support
-        assert np.array_equal(X.mask, [[1.0, 0.0], [1.0, 0.0]])
-
     def test_values_not_a_matrix(self):
         with pytest.raises(ShapeMismatch, match="matrix"):
-            SupportPoint(np.array([1.0, 0.0]))
+            nonzero_point(np.array([1.0, 0.0]))
 
     def test_given_support_is_kept(self):
         support = np.array([[True, True], [False, True]])
@@ -194,6 +208,26 @@ class TestSupportPoint:
 
 
 class TestSparsity:
+    @pytest.mark.parametrize("s", [0, 7])
+    def test_cardinality_out_of_range(self, s):
+        with pytest.raises(ShapeMismatch, match=f"cardinality {s} out of range"):
+            SparsityManifold(2, 3, s)
+
+    def test_point_of_another_manifold_rejected(self, rng):
+        man = SparsityManifold(3, 4, 5)
+        for X in (random_support_point(rng, 3, 4, 4), random_support_point(rng, 4, 3, 5)):
+            with pytest.raises(ShapeMismatch, match="does not belong"):
+                man.tangent_project(X, np.zeros((3, 4)))
+
+    def test_ambient_shapes_checked(self, rng):
+        man = SparsityManifold(3, 4, 5)
+        X = random_support_point(rng, 3, 4, 5)
+        for call in (lambda: man.tangent_project(X, np.zeros((4, 3))),
+                     lambda: man.retract(X, np.zeros((3, 5))),
+                     lambda: man.project(np.ones((4, 3)))):
+            with pytest.raises(ShapeMismatch, match="expected ambient shape"):
+                call()
+
     @given(st.data())
     def test_tangent_project_matches_where(self, data):
         m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
@@ -201,7 +235,7 @@ class TestSparsity:
             data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
         ).reshape(m, n)
         assume(support.any())
-        X = SupportPoint(np.where(support, 1.5, 0.0))
+        X = nonzero_point(np.where(support, 1.5, 0.0))
         Z = data.draw(arrays(float, (m, n), elements=st.floats(allow_nan=False, allow_infinity=False)))
         man = SparsityManifold(m, n, int(support.sum()))
         out = man.tangent_project(X, Z)
@@ -212,7 +246,7 @@ class TestSparsity:
 
     def test_tangent_project_masks(self, rng):
         man = SparsityManifold(3, 1, 1)
-        X = SupportPoint(np.array([[3.0], [0.0], [0.0]]))
+        X = nonzero_point(np.array([[3.0], [0.0], [0.0]]))
         Z = np.array([[1.0], [2.0], [3.0]])
         assert np.allclose(man.tangent_project(X, Z), [[1.0], [0.0], [0.0]])
 
@@ -235,7 +269,7 @@ class TestSparsity:
 
     def test_retract_examples(self, rng):
         man = SparsityManifold(1, 3, 1)
-        X = SupportPoint(np.array([[3.0, 0.0, 0.0]]))
+        X = nonzero_point(np.array([[3.0, 0.0, 0.0]]))
         Y = man.retract(X, np.zeros((1, 3)))
         assert np.allclose(Y.values, X.values)
         Y = man.retract(X, np.array([[1.0, 0.0, 0.0]]))
@@ -245,7 +279,7 @@ class TestSparsity:
         # the retraction keeps the support and selects nothing, so a step
         # that is nonzero off the support is refused, as on fixed rank
         man = SparsityManifold(1, 3, 2)
-        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
+        X = nonzero_point(np.array([[1.0, -2.0, 0.0]]))
         eta = np.array([[0.0, 0.0, 0.5]])
         with pytest.raises(NotTangent, match="off the support"):
             man.retract(X, eta)
@@ -253,7 +287,7 @@ class TestSparsity:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_retract_rejects_non_finite_step(self, bad):
         man = SparsityManifold(1, 3, 2)
-        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
+        X = nonzero_point(np.array([[1.0, -2.0, 0.0]]))
         for k in range(3):
             eta = np.zeros((1, 3))
             eta[0, k] = bad
@@ -272,7 +306,7 @@ class TestSparsity:
         assume(support.any())
         s = int(support.sum())
         values = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3).filter(bool)))
-        X = SupportPoint(np.where(support, values, 0.0))
+        X = nonzero_point(np.where(support, values, 0.0))
         Z = data.draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
         cancel = data.draw(st.lists(st.sampled_from(np.flatnonzero(support).tolist())))
         Z.flat[cancel] = -X.values.flat[cancel]
@@ -349,7 +383,7 @@ class TestSparsity:
         # a tangent step that cancels the support leaves a point of the
         # manifold with 0.0 values, not a DegenerateStep
         man = SparsityManifold(1, 3, 2)
-        X = SupportPoint(np.array([[1.0, -2.0, 0.0]]))
+        X = nonzero_point(np.array([[1.0, -2.0, 0.0]]))
         Y = man.retract(X, np.array([[-1.0, 2.0, 0.0]]))
         assert Y.support is X.support and Y.nnz == 2
         assert np.array_equal(Y.values, np.zeros((1, 3)))

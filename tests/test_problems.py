@@ -238,6 +238,15 @@ class TestHyperbolicData:
         with pytest.raises(DomainViolation, match="tail scale .* past the float range"):
             gen_hyperbolic_data(5, 10, 2, 0, tail_scale=tail)
 
+    @pytest.mark.parametrize("tail", [1e153, 3e153])
+    def test_tail_scale_past_the_float_range_in_the_init_gram_rejected(self, tail):
+        # with m > n the lifted targets stay finite, but the n x n Gram
+        # matrix of the spatial block sums over m columns and would be
+        # inf; no overflow warning is printed on the way
+        data = gen_hyperbolic_data(2, 200, 1, 0, tail_scale=tail)
+        with pytest.raises(DomainViolation, match="^tail scale .* past the float range"):
+            init_hyperbolic(data, 1)
+
     def test_full_rank_signal(self):
         assert gen_hyperbolic_data(3, 10, 3, 0).targets.shape == (4, 10)
 

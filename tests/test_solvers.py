@@ -51,6 +51,10 @@ class TestTruncatedSvd:
         with pytest.raises(RankDeficient):
             truncated_svd(np.eye(3), 4)
 
+    def test_not_a_matrix(self):
+        with pytest.raises(RankDeficient, match="expected a matrix"):
+            truncated_svd(np.ones(3), 1)
+
 
 class TestPinvApply:
     def test_rank_one_diagonal(self):
@@ -87,20 +91,20 @@ def identity(v):
 class TestPcg:
     def test_identity_one_iteration(self, rng):
         b = rng.standard_normal(6)
-        x, iters, lifted = pcg(lambda v: v, b, identity, 1e-10, 200)
+        x, iters, lifted = pcg(lambda v: v, b, identity, 1e-10, 200, lift=identity)
         assert iters == 1
         assert np.allclose(x, b)
         assert np.array_equal(lifted, x)
 
     def test_zero_rhs(self):
-        x, iters, lifted = pcg(lambda v: v, np.zeros(4), identity, 1e-10, 200)
+        x, iters, lifted = pcg(lambda v: v, np.zeros(4), identity, 1e-10, 200, lift=identity)
         assert iters == 0 and np.all(x == 0.0) and np.all(lifted == 0.0)
 
     def test_matches_spd_solve(self, rng):
         M = rng.standard_normal((8, 8))
         A = M @ M.T + np.eye(8)
         b = rng.standard_normal(8)
-        x = pcg(lambda v: A @ v, b, identity, 1e-12, 200).x
+        x = pcg(lambda v: A @ v, b, identity, 1e-12, 200, lift=identity).x
         ref = np.linalg.solve(A, b)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -112,8 +116,8 @@ class TestPcg:
         def op(v):
             return A @ v
 
-        plain = pcg(op, b, identity, 1e-12, 500)
-        precond = pcg(op, b, lambda v: v / d, 1e-12, 500)
+        plain = pcg(op, b, identity, 1e-12, 500, lift=identity)
+        precond = pcg(op, b, lambda v: v / d, 1e-12, 500, lift=identity)
         assert precond.iters <= plain.iters
 
     def test_operands_untouched(self, rng):
@@ -123,7 +127,7 @@ class TestPcg:
         A = M @ M.T + 0.1 * np.eye(12)
         b = rng.standard_normal(12)
         b0 = b.copy()
-        pcg(lambda v: A @ v, b, identity, 1e-13, 50)
+        pcg(lambda v: A @ v, b, identity, 1e-13, 50, lift=identity)
         assert np.array_equal(b, b0)
 
     def test_matrix_shaped_sylvester_system(self, rng):
@@ -133,7 +137,7 @@ class TestPcg:
         G = M @ M.T + np.eye(5)
         B = rng.standard_normal((5, 5))
         B = B + B.T
-        L = pcg(lambda X: G @ X + X @ G, B, identity, 1e-12, 50).x
+        L = pcg(lambda X: G @ X + X @ G, B, identity, 1e-12, 50, lift=identity).x
         assert L.shape == (5, 5)
         ref = sym_sylvester_solver(G)(B)
         assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -169,13 +173,13 @@ class TestPcg:
         d = np.logspace(0, 8, 40)
         b = rng.standard_normal(40)
         with pytest.raises(NotConverged, match="^pcg stalled at 3 iterations$"):
-            pcg(lambda v: d * v, b, identity, 1e-14, 3)
+            pcg(lambda v: d * v, b, identity, 1e-14, 3, lift=identity)
         with pytest.raises(NotConverged, match="^pcg stalled at 1 iterations$"):
-            pcg(lambda v: -v, b, identity, 1e-10, 200)
+            pcg(lambda v: -v, b, identity, 1e-10, 200, lift=identity)
         with pytest.raises(NotConverged, match="^pcg stalled at 1 iterations$"):
-            pcg(lambda v: np.full_like(v, np.nan), b, identity, 1e-10, 200)
+            pcg(lambda v: np.full_like(v, np.nan), b, identity, 1e-10, 200, lift=identity)
         with pytest.raises(NotConverged, match="^pcg stalled at 0 iterations$"):
-            pcg(lambda v: v, b, identity, 1e-10, 0)
+            pcg(lambda v: v, b, identity, 1e-10, 0, lift=identity)
 
 
 class TestSymSylvester:
@@ -208,6 +212,14 @@ class TestSymSylvester:
     def test_ill_conditioned(self):
         with pytest.raises(IllConditioned):
             sym_sylvester_solver(np.diag([1.0, 1e-14]))(np.eye(2))
+
+    def test_shapes_checked(self):
+        with pytest.raises(IllConditioned, match="square"):
+            sym_sylvester_solver(np.ones((2, 3)))
+        solve = sym_sylvester_solver(np.eye(2))
+        for B in (np.eye(3), np.ones((2, 3))):
+            with pytest.raises(IllConditioned, match="equal size"):
+                solve(B)
 
 
 class TestLinearOperatorContract:
