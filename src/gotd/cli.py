@@ -4,16 +4,17 @@ Grammar::
 
     gotd <experiment> [--key value]... [--config path] [--seeds A..B]
 
-with experiments ``sphere``, ``hyperbolic`` and ``modes``.  Their flags
-are stated in ``EXPERIMENTS``; ``_build`` sets each one up, and
-``run_experiment`` adds the hyperbolic trace's f / f0 column.  A config
-file's ``key = value`` lines (``#`` comments; keys are flag names, with
-``_`` or ``-``) are read as flags placed before the command line's, so
-the same parser checks them and flags win.  Each run writes a CSV trace
-and prints a one-line summary on stdout; under ``--seeds``, seed N writes
-to ``--out`` without its extension, plus ``_seed<N>.csv``.  Exit codes:
-0 converged, 2 budget exhausted, 1 aborted, bad usage or an unwritable
-``--out``.
+Each experiment is one entry of ``gotd.problems.EXPERIMENTS``, which
+states its flags, their defaults and how to build it.  A config file's
+``key = value`` lines (``#`` comments; keys are flag names, with ``_`` or
+``-``, but not ``config``) are read as flags placed before the command
+line's, so the same parser checks them and flags win.  Each run writes a
+CSV trace and prints a one-line summary on stdout; the trace's extra
+column is the problem's ``extra_metric``, or f / f0 for a problem that
+states none.  Under ``--seeds``, seed N writes to ``--out`` without its
+extension, plus ``_seed<N>.csv``.  Exit codes: 0 converged, 2 budget
+exhausted, 1 aborted, bad usage or an unwritable ``--out``; a sweep
+exits 1 if a seed aborted, else 2 if a seed ran out of budget, else 0.
 """
 
 import argparse
@@ -23,42 +24,10 @@ import sys
 from .algorithm import GotdConfig, RunStatus, gotd_run, write_trace_csv
 from .errors import GotdError, UsageError
 from .feasibility import alternating_projections
-from .problems import (
-    gen_hyperbolic_data,
-    gen_modes_problem,
-    gen_sphere_data,
-    init_hyperbolic,
-    init_modes,
-    init_sphere,
-    make_hyperbolic_problem,
-    make_modes_problem,
-    make_sphere_problem,
-)
+from .problems import EXPERIMENTS
 
 MAP_TOL = 1e-10
 MAP_MAX_ITER = 100
-
-
-# experiment -> (help, parameter types, defaults).  A parameter with neither
-# a default nor type bool is required and must be positive.
-EXPERIMENTS = {
-    "sphere": (
-        "low-rank fit of unit-norm rows",
-        {"m": int, "n": int, "r": int, "os": float},
-        {"beta": 10.0, "max_iter": 2000},
-    ),
-    "hyperbolic": (
-        "low-rank hyperbolic embedding fit",
-        {"n": int, "m": int, "r_true": int, "r": int, "tail": float,
-         "postprocess_map": bool},
-        {"beta": 0.2, "max_iter": 2000, "tail": 0.3},
-    ),
-    "modes": (
-        "compressed modes",
-        {"n": int, "p": int, "L": float, "rho": float},
-        {"max_iter": 5000},  # beta defaults to L^2 / (4 n^2)
-    ),
-}
 
 
 def _seed_range(text) -> range:
@@ -81,28 +50,6 @@ RUN_FLAGS = {
 }
 
 
-def _build(config):
-    """Instantiate (problem, x0, beta) for parsed flags."""
-    if config.experiment == "sphere":
-        data = gen_sphere_data(config.m, config.n, config.r, config.os, config.seed)
-        problem = make_sphere_problem(data)
-        x0 = init_sphere(data, config.seed)
-        beta = config.beta
-    elif config.experiment == "hyperbolic":
-        data = gen_hyperbolic_data(
-            config.n, config.m, config.r_true, config.seed, config.tail
-        )
-        problem = make_hyperbolic_problem(data, config.r)
-        x0 = init_hyperbolic(data, config.r)
-        beta = config.beta
-    else:
-        data = gen_modes_problem(config.n, config.p, config.L, config.rho)
-        problem = make_modes_problem(data)
-        x0 = init_modes(data, config.seed)
-        beta = config.beta if config.beta is not None else data.beta_default
-    return problem, x0, beta
-
-
 def _gotd_config(config, beta) -> GotdConfig:
     try:
         return GotdConfig(alpha=config.alpha, beta=beta, max_iter=config.max_iter,
@@ -116,9 +63,10 @@ def run_experiment(config) -> int:
     summary.  Returns the process exit code."""
     out_path = config.out or f"gotd_{config.experiment}_seed{config.seed}.csv"
     open(out_path, "a").close()  # an unwritable path fails here, not after the run
-    problem, x0, beta = _build(config)
+    build = EXPERIMENTS[config.experiment][3]
+    problem, x0, beta = build(config, config.seed)
     result = gotd_run(problem, x0, _gotd_config(config, beta))
-    if config.experiment == "hyperbolic":
+    if problem.extra_metric is None:
         # the extra column is the objective ratio f / f0, from the traced f
         for rec in result.trace:
             rec.extra_metric = rec.f_value / result.trace[0].f_value
@@ -162,7 +110,7 @@ def _flag(key: str) -> str:
 def build_parser() -> _Parser:
     parser = _Parser(prog="gotd", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (help_text, params, defaults) in EXPERIMENTS.items():
+    for name, (help_text, params, defaults, _) in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=help_text)
         for key, kind in {**params, **RUN_FLAGS}.items():
             if kind is bool:
@@ -189,7 +137,10 @@ def _config_flags(path, kinds) -> list:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, val = (part.strip() for part in line.split("=", 1))
-        kind = kinds.get(key.replace("-", "_"))
+        name = key.replace("-", "_")
+        if name == "config":
+            raise UsageError(f"{path}:{lineno}: config files do not nest")
+        kind = kinds.get(name)
         if kind is None:
             raise UsageError(f"unknown config key: {key}")
         if kind is not bool:
@@ -208,7 +159,7 @@ def parse_config(argv) -> tuple:
     argv = list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _, params, defaults = EXPERIMENTS[args.experiment]
+    _, params, defaults, _ = EXPERIMENTS[args.experiment]
     if args.config is not None:
         flags = _config_flags(args.config, {**params, **RUN_FLAGS})
         i = argv.index(args.experiment) + 1
@@ -232,13 +183,14 @@ def main(argv=None) -> int:
         config, seeds = parse_config(sys.argv[1:] if argv is None else argv)
         if seeds is None:
             return run_experiment(config)
-        worst = 0
+        codes = []
         base_out = config.out
         for seed in seeds:
             config.seed = seed
             config.out = f"{os.path.splitext(base_out)[0]}_seed{seed}.csv" if base_out else None
-            worst = max(worst, run_experiment(config))
-        return worst
+            codes.append(run_experiment(config))
+        # an abort (1) outranks a spent budget (2), which outranks convergence (0)
+        return max(codes, key=(0, 2, 1).index)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ class FactoredPoint:
     """Rank-r matrix stored as a thin SVD triple (U, sigma, V).
 
     ``u`` is (m, r) and ``v`` is (n, r), both with orthonormal columns;
-    ``sigma`` holds the positive, nonincreasing singular values; the
+    ``sigma`` holds the positive, finite, nonincreasing singular values; the
     read-only ``us`` = U Sigma, ``vs`` = V Sigma and their squared row
     norms, X's ``row_sq_norms`` and ``col_sq_norms``, are formed once.
     """
@@ -50,14 +50,16 @@ class FactoredPoint:
             raise ShapeMismatch("expected u (m,r), sigma (r,), v (n,r)")
         if self.u.shape[1] != r or self.v.shape[1] != r:
             raise ShapeMismatch("factor widths do not match sigma")
+        # each test is written so that a NaN fails it
         eye = np.eye(r)
-        if (
-            np.abs(self.u.T @ self.u - eye).max() > 1e-12
-            or np.abs(self.v.T @ self.v - eye).max() > 1e-12
+        if not (
+            np.abs(self.u.T @ self.u - eye).max() <= 1e-12
+            and np.abs(self.v.T @ self.v - eye).max() <= 1e-12
         ):
             raise ShapeMismatch("factors are not orthonormal to 1e-12")
-        if np.any(self.sigma <= 0.0) or np.any(np.diff(self.sigma) > 0.0):
-            raise RankDeficient("sigma must be positive and nonincreasing")
+        sigma = self.sigma
+        if not (np.all((sigma > 0.0) & (sigma < np.inf)) and np.all(np.diff(sigma) <= 0.0)):
+            raise RankDeficient("sigma must be positive, finite and nonincreasing")
 
     @property
     def shape(self):

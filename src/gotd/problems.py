@@ -5,7 +5,8 @@ Each experiment comes as a data container, a  deterministic generator,
 objective/gradient functions, a fused ``*_value_and_grad`` that evaluates
 both from one pass over the point, an initializer, and a
 ``make_*_problem`` wiring function that assembles a
-:class:`~gotd.algorithm.Problem`.
+:class:`~gotd.algorithm.Problem`.  ``EXPERIMENTS`` declares each one as a
+command-line experiment: its flags, their defaults and its build.
 """
 
 from dataclasses import dataclass, field
@@ -621,3 +622,49 @@ def make_modes_problem(prob: CompressedModesProblem) -> Problem:
         extra_metric=sparsity_ratio,
         value_and_grad=lambda X: modes_value_and_grad(prob, X),
     )
+
+
+# ---------------------------------------------------------------------------
+# the command-line experiments
+# ---------------------------------------------------------------------------
+
+def _build_sphere(flags, seed):
+    data = gen_sphere_data(flags.m, flags.n, flags.r, flags.os, seed)
+    return make_sphere_problem(data), init_sphere(data, seed), flags.beta
+
+
+def _build_hyperbolic(flags, seed):
+    data = gen_hyperbolic_data(flags.n, flags.m, flags.r_true, seed, flags.tail)
+    return make_hyperbolic_problem(data, flags.r), init_hyperbolic(data, flags.r), flags.beta
+
+
+def _build_modes(flags, seed):
+    data = gen_modes_problem(flags.n, flags.p, flags.L, flags.rho)
+    beta = data.beta_default if flags.beta is None else flags.beta
+    return make_modes_problem(data), init_modes(data, seed), beta
+
+
+# experiment -> (help, parameter types, defaults, build).  A parameter with
+# neither a default nor type bool is required and must be positive;
+# build(flags, seed) returns (problem, x0, beta) from the parsed flags.
+EXPERIMENTS = {
+    "sphere": (
+        "low-rank fit of unit-norm rows",
+        {"m": int, "n": int, "r": int, "os": float},
+        {"beta": 10.0, "max_iter": 2000},
+        _build_sphere,
+    ),
+    "hyperbolic": (
+        "low-rank hyperbolic embedding fit",
+        {"n": int, "m": int, "r_true": int, "r": int, "tail": float,
+         "postprocess_map": bool},
+        {"beta": 0.2, "max_iter": 2000, "tail": 0.3},
+        _build_hyperbolic,
+    ),
+    "modes": (
+        "compressed modes",
+        {"n": int, "p": int, "L": float, "rho": float},
+        {"max_iter": 5000},  # beta defaults to L^2 / (4 n^2)
+        _build_modes,
+    ),
+}

@@ -3,8 +3,8 @@ import weakref
 
 import pytest
 
-from gotd import UsageError, read_trace_csv
-from gotd.cli import _build, main, parse_config
+from gotd import UsageError, problems, read_trace_csv
+from gotd.cli import main, parse_config
 
 
 REQUIRED = {
@@ -16,6 +16,11 @@ REQUIRED = {
 
 def _flags(params):
     return [token for k, v in params.items() for token in (f"--{k}", v)]
+
+
+def _build(cfg):
+    """(problem, x0, beta) for parsed flags, as the runner builds them."""
+    return problems.EXPERIMENTS[cfg.experiment][3](cfg, cfg.seed)
 
 
 class TestParsing:
@@ -122,6 +127,19 @@ class TestParsing:
         cfg, _ = parse_config(["sphere", "--config", str(path), "--beta", "2.0"])
         assert cfg.m == 30 and cfg.n == 25 and cfg.os == 1.5
         assert cfg.beta == 2.0  # flag wins over file
+
+    @pytest.mark.parametrize("inner", ["b.cfg", "absent.cfg"])
+    def test_config_key_in_config_file_rejected(self, tmp_path, capsys, inner):
+        # a nested file was neither read nor checked for existence
+        (tmp_path / "b.cfg").write_text("max_iter = 1\n")
+        path = tmp_path / "a.cfg"
+        path.write_text(f"m = 30\nn = 26\nr = 2\nos = 2\nbeta = 1\nmax_iter = 5\n"
+                        f"config = {tmp_path / inner}\n")
+        with pytest.raises(UsageError, match=r"a\.cfg:7: config files do not nest$"):
+            parse_config(["sphere", "--config", str(path)])
+        assert main(["sphere", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -346,6 +364,16 @@ class TestRuns:
         assert (tmp_path / "sweep_seed1.csv").exists()
         assert (tmp_path / "sweep_seed2.csv").exists()
 
+    @pytest.mark.parametrize("seeds", ["4..5", "5..6"])
+    def test_seed_sweep_exit_code_reports_an_abort(self, tmp_path, capsys, seeds):
+        # seed 5 diverges at iteration 40, seeds 4 and 6 run out of budget
+        code = main(
+            ["sphere", "--m", "30", "--n", "26", "--r", "2", "--os", "2", "--beta", "3",
+             "--max-iter", "50", "--seeds", seeds, "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 1
+        assert "status=aborted" in capsys.readouterr().out
+
     @pytest.mark.parametrize("out, stem", [("run.v2/trace", "run.v2/trace"), ("./t2", "t2")])
     def test_seed_sweep_strips_only_the_file_extension(self, tmp_path, monkeypatch, out, stem):
         # a dot in a directory name, or a leading ./, is not an extension
@@ -372,3 +400,37 @@ class TestRuns:
                     for l in lines]
 
         assert strip_time(out1) == strip_time(out2)
+
+
+class TestExperimentTable:
+    def test_pair_added_to_the_table_alone_runs(self, tmp_path, capsys, monkeypatch):
+        # only problems.EXPERIMENTS is patched: the runner takes a new
+        # pair's flags, checks and build from its entry
+        _, params, defaults, build = problems.EXPERIMENTS["sphere"]
+        seen = []
+
+        def build_with_k(flags, seed):
+            seen.append(flags.k)
+            return build(flags, seed)
+
+        monkeypatch.setitem(problems.EXPERIMENTS, "sphere-k", (
+            "sphere fit with one more flag", {**params, "k": int}, defaults, build_with_k,
+        ))
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "sphere-k" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["sphere-k", "--help"])
+        usage = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(f"--{key} " in usage for key in ("m", "n", "r", "os", "k", "beta", "seeds"))
+
+        sphere = ["--m", "40", "--n", "36", "--r", "2", "--os", "3", "--beta", "1"]
+        with pytest.raises(UsageError, match="missing parameter --k"):
+            parse_config(["sphere-k", *sphere])
+        out = tmp_path / "trace.csv"
+        code = main(["sphere-k", *sphere, "--k", "3", "--max-iter", "5", "--out", str(out)])
+        assert code in (0, 2) and seen == [3]
+        assert capsys.readouterr().out.startswith("experiment=sphere-k status=")
+        records = read_trace_csv(out)
+        assert len(records) == 6 and all(rec.extra_metric is not None for rec in records)

@@ -36,6 +36,14 @@ class TestFactoredPoint:
             FactoredPoint(U, np.array([1.0, 2.0]), V)  # increasing
         with pytest.raises(RankDeficient):
             FactoredPoint(U, np.array([1.0, 0.0]), V)  # zero singular value
+        # a NaN compares False both ways, so each check must fail on it
+        with pytest.raises(ShapeMismatch):
+            FactoredPoint(np.full_like(U, np.nan), np.array([2.0, 1.0]), V)
+        with pytest.raises(ShapeMismatch):
+            FactoredPoint(U, np.array([2.0, 1.0]), np.full_like(V, np.nan))
+        for sigma in ([np.nan, 1.0], [2.0, np.nan], [np.inf, 1.0], [np.inf, np.inf]):
+            with pytest.raises(RankDeficient):
+                FactoredPoint(U, np.array(sigma), V)
         with pytest.raises(ShapeMismatch, match="expected u"):
             FactoredPoint(U[:, 0], np.array([1.0]), V[:, :1])  # u not a matrix
         with pytest.raises(ShapeMismatch, match="widths"):
