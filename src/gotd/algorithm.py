@@ -46,8 +46,9 @@ class Problem:
     ``value_and_grad``, which returns ``(f, grad)`` from one evaluation,
     or from ``grad_f`` when a problem has no ``value_and_grad``; one of
     the two must be set.  A gradient may be any operand that the
-    manifold's ``tangent_project`` takes: a sparse matrix, or a tangent
-    vector already projected, as the sphere and hyperbolic pairs return.
+    manifold's ``tangent_project`` takes: a dense array, a low-rank
+    operand, or a tangent vector already projected, as the sphere and
+    hyperbolic pairs return.
     ``extra_metric`` is evaluated on traced iterates (test error, ...).
     """
 

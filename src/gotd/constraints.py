@@ -5,8 +5,9 @@ Three instances share one contract -- ``value``, ``dh`` (differential),
 at a point and returned as a callable), ``gram_solve`` (one solve by it),
 ``reduced_gram_solver(X)`` (a preconditioner for the reduced Gram
 operator B = Dh P_T Dh* at a point X of the inner manifold, also a
-callable) and ``project`` (metric projection onto H), each checking its
-operands against the constraint's ``shape``:
+callable) and ``project`` (metric projection onto H, which refuses a
+non-finite input with DegenerateProjection), each checking its operands
+against the constraint's ``shape``:
 
 * ``ObliqueConstraint``   -- rows of unit Euclidean norm,
 * ``HyperboloidConstraint`` -- columns on the upper hyperboloid sheet
@@ -61,6 +62,13 @@ def _check_shape(constraint, X, Z=None):
         raise ShapeMismatch(f"expected shape {constraint.shape}")
     if Z is not None and Z.shape != X.shape:
         raise ShapeMismatch("direction shape differs from point shape")
+
+
+def _check_projectable(constraint, Y):
+    """Y must have the constraint's ``shape`` and finite entries."""
+    _check_shape(constraint, Y)
+    if not np.all(np.isfinite(Y)):
+        raise DegenerateProjection("cannot project a matrix with a non-finite entry")
 
 
 def _diagonal_solver(g: np.ndarray, part: str):
@@ -123,7 +131,7 @@ class ObliqueConstraint:
         return self.gram_solver(X)
 
     def project(self, Y: np.ndarray) -> np.ndarray:
-        _check_shape(self, Y)
+        _check_projectable(self, Y)
         norms = np.linalg.norm(Y, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DegenerateProjection("cannot normalize a zero row")
@@ -247,7 +255,7 @@ class HyperboloidConstraint:
         nearest point) and for a root unconverged after SECULAR_MAX_ITER
         steps.
         """
-        _check_shape(self, Y)
+        _check_projectable(self, Y)
         y0 = np.abs(Y[0])
         c2 = np.einsum("ij,ij->j", Y[1:], Y[1:])
         if np.any(y0 == 0.0):
@@ -361,7 +369,7 @@ class StiefelConstraint:
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Polar factor of Y: the closest matrix with orthonormal columns."""
-        _check_shape(self, Y)
+        _check_projectable(self, Y)
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
         if s[-1] <= COND_RTOL * s[0] or s[0] == 0.0:
             raise DegenerateProjection(

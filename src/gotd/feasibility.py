@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainViolation
 from .manifolds import as_dense
 
 
@@ -26,12 +27,16 @@ def alternating_projections(
     or a point of M (anything with ``dense()``), which is used as it is.
     The composition ends with the projection onto M, so the returned
     point satisfies the manifold's structural invariants exactly; under a
-    transversal intersection the feasibility norm decays linearly.
+    transversal intersection the feasibility norm decays linearly.  An
+    ambient ``x0`` with a non-finite entry raises DomainViolation.
     """
     if hasattr(x0, "dense"):
         point = x0
     else:
-        point = manifold.project(np.asarray(x0, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise DomainViolation("alternating projections need a finite start")
+        point = manifold.project(x0)
     feas = float(np.linalg.norm(constraint.value(point)))
     history = [feas]
     iters = 0

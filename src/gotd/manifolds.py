@@ -34,7 +34,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class FactoredPoint:
     """Rank-r matrix stored as a thin SVD triple (U, sigma, V).
 
-    ``u`` is (m, r) and ``v`` is (n, r), both with orthonormal columns;
+    ``u`` is (m, r) and ``v`` is (n, r), r >= 1, both with orthonormal columns;
     ``sigma`` holds the positive, finite, nonincreasing singular values; the
     read-only ``us`` = U Sigma, ``vs`` = V Sigma and their squared row
     norms, X's ``row_sq_norms`` and ``col_sq_norms``, are formed once.
@@ -50,6 +50,8 @@ class FactoredPoint:
             raise ShapeMismatch("expected u (m,r), sigma (r,), v (n,r)")
         if self.u.shape[1] != r or self.v.shape[1] != r:
             raise ShapeMismatch("factor widths do not match sigma")
+        if r == 0:
+            raise RankDeficient("a factored point needs rank at least 1")
         # each test is written so that a NaN fails it
         eye = np.eye(r)
         if not (
@@ -145,7 +147,7 @@ class FixedRankTangent:
         """Orthogonal projection of Z onto the tangent space at X.
 
         Z may be anything that supports ``Z @ V`` and ``Z.T @ U``: a dense
-        array, a sparse matrix, a low-rank operand or a tangent vector.
+        array, a low-rank operand or a tangent vector.
         """
         if isinstance(Z, FixedRankTangent) and Z.at(X):
             return Z

@@ -31,7 +31,7 @@ ARCCOSH_SERIES_CUT = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# sparse ambient operands
+# products over a sample of entries
 # ---------------------------------------------------------------------------
 
 # entries per block of the sampled kernels: a block's gathered factor
@@ -42,27 +42,26 @@ BLOCK_ENTRIES = 4096
 
 
 class SparsePattern:
-    """Distinct positions (rows, cols) of a sparse m x n matrix, grouped
-    once by row and once by column.
+    """Distinct positions (rows, cols) of an m x n sample, grouped once by
+    row (``by_row``) and once by column (``by_col``).
 
-    Products of a :class:`CooMatrix` on the pattern are then segment sums
-    (``np.add.reduceat``) over contiguous runs, taken block by block and
-    several times faster in numpy than scattering with ``np.bincount``;
-    :func:`sphere_value_and_grad` runs its fused pass over the row blocks.
+    A matrix G with values on the sample then has G V and G^T U as
+    segment sums (``np.add.reduceat``) over contiguous runs, taken block by
+    block and several times faster in numpy than scattering with
+    ``np.bincount``; :func:`sphere_value_and_grad` runs its fused pass over
+    the row blocks and takes G^T U from the column runs.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple):
-        self.rows = rows
-        self.cols = cols
-        self.shape = tuple(shape)
-        m, n = self.shape
+        m, n = shape
         self.by_row = _Runs(rows, cols, m, n)
         self.by_col = _Runs(cols, rows, n, m)
 
 
 class _Runs:
-    """Entries ordered by their output index, for G @ W, and by their
-    input index within a run: ``order`` sorts them (None when they are
+    """Entries of a sample ordered by their output index, for the product
+    G @ W of a matrix G with values on the sample, and by their input
+    index within a run: ``order`` sorts them (None when they are
     sorted already), and ``inner`` is their input index in that order.
 
     The order is one argsort of the distinct keys outer * inner_size +
@@ -145,54 +144,6 @@ class _Runs:
         for idx, _, _, x, _ in self.blocks_of(A, B):
             out[idx] = x
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class CooMatrix:
-    """Matrix with the values ``vals`` at the positions of ``pattern`` and
-    zeros elsewhere (``transposed`` swaps the roles of rows and columns).
-
-    :func:`sphere_grad` returns it at a fixed-rank point; the run takes
-    the projection from :func:`sphere_value_and_grad` and builds none.
-    It supports what a fixed-rank tangent projection needs of an ambient
-    operand, ``G @ W`` and ``G.T @ W``, at O(len(vals) k);
-    ``np.asarray`` gives the dense matrix.
-    """
-
-    pattern: SparsePattern
-    vals: np.ndarray
-    transposed: bool = False
-
-    @property
-    def shape(self) -> tuple:
-        return self.pattern.shape[::-1] if self.transposed else self.pattern.shape
-
-    @property
-    def T(self) -> "CooMatrix":
-        return CooMatrix(self.pattern, self.vals, not self.transposed)
-
-    def __matmul__(self, W: np.ndarray) -> np.ndarray:
-        runs = self.pattern.by_col if self.transposed else self.pattern.by_row
-        return runs.product(self.vals, W)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return CooMatrix(self.pattern, scalar * self.vals, self.transposed)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CooMatrix":
-        return CooMatrix(self.pattern, -self.vals, self.transposed)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.pattern.shape)
-        out[self.pattern.rows, self.pattern.cols] = self.vals
-        return out.T if self.transposed else out
-
-    def __array__(self, dtype=None, copy=None):
-        out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +249,10 @@ def sphere_objective(prob: SphereFitProblem, X) -> float:
     return _half_square(_residual(prob, X))
 
 
-def sphere_grad(prob: SphereFitProblem, X):
-    """The gradient is supported on Omega: a :class:`CooMatrix` for a
-    fixed-rank point, a dense array for a dense X."""
-    resid = _residual(prob, X)
-    if isinstance(X, FactoredPoint):
-        return CooMatrix(prob.omega_pattern, resid)
-    g = np.zeros_like(as_dense(X))
-    g[prob.omega] = resid
+def sphere_grad(prob: SphereFitProblem, X) -> np.ndarray:
+    """The dense m x n gradient: the residual on Omega, zero elsewhere."""
+    g = np.zeros(X.shape)
+    g[prob.omega] = _residual(prob, X)
     return g
 
 
@@ -316,11 +263,12 @@ def sphere_value_and_grad(prob: SphereFitProblem, X: FactoredPoint):
     The gradient G (the residual on Omega) enters the step only through
     its tangent projection, which needs G V and G^T U.  One pass over the
     row blocks gathers V^T once per block for the residual and G V (both
-    bit-equal to unblocked gathers), G^T U is the :class:`CooMatrix`
-    product by columns, and the projection is a :class:`FixedRankTangent`.
+    bit-equal to unblocked gathers), G^T U is the product over the column
+    runs, and the projection is a :class:`FixedRankTangent`; no m x n
+    array is formed.
     """
     pattern = prob.omega_pattern
-    resid = np.empty(len(pattern.rows))
+    resid = np.empty(prob.target_omega.size)
     GV = np.zeros((X.rank, prob.m))
     for idx, runs, starts, x, Vb in pattern.by_row.blocks_of(X.us, X.v):
         x -= prob.target_omega[idx]

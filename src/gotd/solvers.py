@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IllConditioned, NotConverged, RankDeficient
+from .errors import DomainViolation, IllConditioned, NotConverged, RankDeficient
 
 RANK_RTOL = 1e-12
 COND_RTOL = 1e-12
@@ -20,13 +20,17 @@ def truncated_svd(X: np.ndarray, r: int):
     columns and sigma a nonincreasing positive vector, so that
     X ~ (U * sigma) @ V.T in the sense of Eckart--Young.
 
-    Raises RankDeficient when sigma_r <= 1e-12 * sigma_1.
+    Raises RankDeficient when sigma_r <= 1e-12 * sigma_1, and
+    DomainViolation for a non-finite entry, on which LAPACK's SVD fails or,
+    for an inf in some columns, never returns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise RankDeficient("expected a matrix")
     if not 1 <= r <= min(X.shape):
         raise RankDeficient(f"rank {r} out of range for shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DomainViolation("cannot take the SVD of a matrix with a non-finite entry")
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     if s[r - 1] <= RANK_RTOL * s[0]:
         raise RankDeficient(

@@ -84,17 +84,17 @@ def dense_sphere_data(m, n, r, oversampling, seed):
     return A, omega, gamma
 
 
-def unblocked_coo_matmul(G, W) -> np.ndarray:
-    """G @ W for a ``CooMatrix`` G without blocks: the entries sorted by
-    output index, then input index, and for each column of W one 1-D
+def unblocked_product(outer, inner, vals, size, W) -> np.ndarray:
+    """G @ W without blocks, for the size x W.shape[0] matrix G with
+    ``vals`` at the entries (outer, inner): the entries sorted by output
+    index, then input index, and for each column of W one 1-D
     ``np.add.reduceat`` of the values times W gathered at the input
-    indices.  The blocked products must match it bit for bit."""
-    p = G.pattern
-    outer, inner = (p.cols, p.rows) if G.transposed else (p.rows, p.cols)
+    indices.  ``_Runs(outer, inner, size, W.shape[0]).product(vals, W)``
+    must match it bit for bit."""
     order = np.lexsort((inner, outer))
-    outer, inner, vals = outer[order], inner[order], G.vals[order]
+    outer, inner, vals = outer[order], inner[order], vals[order]
     present, starts = np.unique(outer, return_index=True)
-    out = np.zeros((G.shape[0], W.shape[1]))
+    out = np.zeros((size, W.shape[1]))
     if present.size:
         for k in range(W.shape[1]):
             out[present, k] = np.add.reduceat(vals * W[inner, k], starts)

@@ -403,6 +403,17 @@ class TestProjections:
         P2 = C.project(P1)
         assert np.linalg.norm(P1 - P2) <= 1e-10 * max(1.0, np.linalg.norm(P1))
 
+    @pytest.mark.parametrize("kind", ALL_TYPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # an inf in the first column can keep LAPACK's SVD from returning, so
+    # the entries sit in the last column
+    @pytest.mark.parametrize("entry", [(0, -1), (-1, -1)])
+    def test_non_finite_input_rejected(self, rng, kind, bad, entry):
+        C, Y = make_instance(kind, rng)
+        Y[entry] = bad
+        with pytest.raises(DegenerateProjection, match="non-finite"):
+            C.project(Y)
+
     def test_oblique_zero_row_degenerate(self):
         C = ObliqueConstraint(2, 2)
         with pytest.raises(DegenerateProjection):

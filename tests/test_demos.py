@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from an empty working directory."""
+"""Every demo script runs to completion from an empty working directory,
+with RuntimeWarning as an error."""
 
 import os
 import subprocess
@@ -24,7 +25,7 @@ def test_demo_runs(demo, tmp_path):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -43,7 +43,7 @@ from gotd import (
 )
 from gotd import algorithm, problems
 from gotd.manifolds import product_entries
-from gotd.problems import CooMatrix, SparsePattern
+from gotd.problems import SparsePattern
 from gotd.solvers import truncated_svd
 from oracles import (
     DenseFixedRankManifold,
@@ -52,7 +52,7 @@ from oracles import (
     dense_sphere_problem,
     feasible_hyperboloid_lowrank,
     random_factored,
-    unblocked_coo_matmul,
+    unblocked_product,
 )
 
 
@@ -363,22 +363,43 @@ class TestSparseGradient:
         if shuffle:
             flat = rng.permutation(flat)
         rows, cols = np.unravel_index(flat, (m, n))
-        G = CooMatrix(SparsePattern(rows, cols, (m, n)), rng.standard_normal(flat.size))
+        pattern = SparsePattern(rows, cols, (m, n))
+        vals = rng.standard_normal(flat.size)
         D = np.zeros((m, n))
-        D[rows, cols] = G.vals
+        D[rows, cols] = vals
         W, Y = rng.standard_normal((n, 3)), rng.standard_normal((m, 2))
-        assert np.array_equal(G.dense(), D)
-        assert G.T.shape == (n, m)
-        assert np.allclose(G @ W, D @ W, atol=1e-12)
-        assert np.allclose(G.T @ Y, D.T @ Y, atol=1e-12)
-        assert np.allclose((-2.0 * G).dense(), -2.0 * D)
+        GW, GtY = pattern.by_row.product(vals, W), pattern.by_col.product(vals, Y)
+        assert GW.shape == (m, 3) and GtY.shape == (n, 2)
+        assert np.allclose(GW, D @ W, atol=1e-12)
+        assert np.allclose(GtY, D.T @ Y, atol=1e-12)
+        assert np.array_equal(GW, unblocked_product(rows, cols, vals, m, W))
+        assert np.array_equal(GtY, unblocked_product(cols, rows, vals, n, Y))
+        # both run orders give the tangent projection of D at a point
+        man = FixedRankManifold(m, n, int(rng.integers(1, min(m, n) + 1)))
+        X = random_factored(rng, m, n, man.r)
+        eta = FixedRankTangent.from_products(
+            X, pattern.by_row.product(vals, X.v), pattern.by_col.product(vals, X.u))
+        assert np.allclose(eta.dense(), dense_project(man, X, D), atol=1e-12)
 
     def test_sphere_gradient_at_a_point(self, rng):
         data = gen_sphere_data(30, 25, 2, 2.0, 1)
         X = init_sphere(data, 3)
         G = sphere_grad(data, X)
-        assert isinstance(G, CooMatrix)
-        assert np.allclose(np.asarray(G), sphere_grad(data, X.dense()), rtol=0, atol=1e-14)
+        assert type(G) is np.ndarray and G.shape == (30, 25)
+        assert np.allclose(G, sphere_grad(data, X.dense()), rtol=0, atol=1e-14)
+        # the fused pass projects this gradient
+        ref = dense_project(FixedRankManifold(30, 25, 2), X, G)
+        assert np.allclose(problems.sphere_value_and_grad(data, X)[1].dense(), ref,
+                           rtol=0, atol=1e-14)
+
+
+def unblocked_tangent(X, rows, cols, vals) -> FixedRankTangent:
+    """Tangent projection at X of the matrix with ``vals`` at (rows, cols),
+    from its products by the unblocked reference."""
+    m, n = X.shape
+    return FixedRankTangent.from_products(
+        X, unblocked_product(rows, cols, vals, m, X.v),
+        unblocked_product(cols, rows, vals, n, X.u))
 
 
 @st.composite
@@ -405,13 +426,15 @@ class TestSampledKernels:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(problems, "BLOCK_ENTRIES", block)
             pattern = SparsePattern(rows, cols, X.shape)
-            row_runs = problems._Runs(rows, cols, *X.shape)
+        m, n = X.shape
         A = X.u * X.sigma
         sampled_x = product_entries(A, X.v, rows, cols)
-        G = CooMatrix(pattern, sampled_x - rng.standard_normal(rows.size))
-        assert np.array_equal(row_runs.entries(A, X.v), sampled_x)
-        assert np.array_equal(G @ X.v, unblocked_coo_matmul(G, X.v))
-        assert np.array_equal(G.T @ X.u, unblocked_coo_matmul(G.T, X.u))
+        vals = sampled_x - rng.standard_normal(rows.size)
+        assert np.array_equal(pattern.by_row.entries(A, X.v), sampled_x)
+        assert np.array_equal(pattern.by_row.product(vals, X.v),
+                              unblocked_product(rows, cols, vals, m, X.v))
+        assert np.array_equal(pattern.by_col.product(vals, X.u),
+                              unblocked_product(cols, rows, vals, n, X.u))
 
     @given(st.integers(4, 12), st.integers(4, 12), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -423,13 +446,13 @@ class TestSampledKernels:
         f_val, grad = problems.sphere_value_and_grad(data, X)
         A = X.u * X.sigma
         resid = product_entries(A, X.v, *data.omega) - data.target_omega
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CooMatrix, "__matmul__", unblocked_coo_matmul)
-            ref = FixedRankManifold(m, n, r).tangent_project(
-                X, CooMatrix(data.omega_pattern, resid))
+        ref = unblocked_tangent(X, *data.omega, resid)
         assert f_val == problems.sphere_objective(data, X) == 0.5 * float(
             np.linalg.norm(resid) ** 2)
-        assert np.array_equal(sphere_grad(data, X).vals, resid)
+        G = sphere_grad(data, X)
+        assert np.array_equal(G[data.omega], resid)
+        G[data.omega] = 0.0
+        assert not G.any()
         assert all(np.array_equal(getattr(grad, k), getattr(ref, k)) for k in ("M", "Up", "Vp"))
         direct = np.linalg.norm(product_entries(A, X.v, *data.gamma) - data.target_gamma)
         assert problems.sphere_test_error(data, X) == direct / np.linalg.norm(data.target_gamma)
@@ -439,17 +462,17 @@ class TestSampledKernels:
         x0 = init_sphere(data, 0)
         cfg = GotdConfig(alpha=1.0, beta=1.0, max_iter=20, tol=0.0)
         res = gotd_run(make_sphere_problem(data), x0, cfg)
-        # the gradient as a CooMatrix with unblocked products, both samples
+        # the gradient's projection from unblocked products, both samples
         # gathered by product_entries
         def sample_error(X, sample, target):
             return product_entries(X.u * X.sigma, X.v, *sample) - target
 
         def sparse_value_and_grad(prob, X):
             resid = sample_error(X, prob.omega, prob.target_omega)
-            return 0.5 * float(np.linalg.norm(resid) ** 2), CooMatrix(prob.omega_pattern, resid)
+            return (0.5 * float(np.linalg.norm(resid) ** 2),
+                    unblocked_tangent(X, *prob.omega, resid))
 
         monkeypatch.setattr(problems, "sphere_value_and_grad", sparse_value_and_grad)
-        monkeypatch.setattr(CooMatrix, "__matmul__", unblocked_coo_matmul)
         monkeypatch.setattr(problems, "sphere_test_error", lambda prob, X: float(
             np.linalg.norm(sample_error(X, prob.gamma, prob.target_gamma))
             / np.linalg.norm(prob.target_gamma)))
@@ -476,7 +499,7 @@ def _assert_traces_match(trace, ref):
 
 
 def _refuse_dense_gradient(prob, X):
-    raise AssertionError("the dense hyperbolic gradient on the hot path")
+    raise AssertionError("a dense gradient on the hot path")
 
 
 class TestAgainstDenseRoute:
@@ -507,8 +530,9 @@ class TestAgainstDenseRoute:
         def refuse(self):
             raise AssertionError(f"{type(self).__name__}.dense() on the hot path")
 
-        for cls in (FactoredPoint, FixedRankTangent, CooMatrix):
+        for cls in (FactoredPoint, FixedRankTangent):
             monkeypatch.setattr(cls, "dense", refuse)
+        monkeypatch.setattr(problems, "sphere_grad", _refuse_dense_gradient)
         data = gen_sphere_data(60, 50, 3, 3.0, 2)
         res = gotd_run(
             make_sphere_problem(data), init_sphere(data, 2),

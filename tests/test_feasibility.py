@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from gotd import (
+    DomainViolation,
     FixedRankManifold,
     HyperboloidConstraint,
     ObliqueConstraint,
@@ -50,6 +52,14 @@ class TestAlternatingProjections:
         res = alternating_projections(man, C, start, tol=1e-12, max_iter=100)
         for a, b in zip(res.history[2:], res.history[3:]):
             assert b <= 1.01 * a
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, rng, bad):
+        Y = rng.standard_normal((3, 2))
+        Y[1, 1] = bad
+        for C in (HyperboloidConstraint(2, 2), ObliqueConstraint(3, 2)):
+            with pytest.raises(DomainViolation, match="finite start"):
+                alternating_projections(FixedRankManifold(3, 2, 1), C, Y)
 
     def test_oblique_pair_needs_one_iteration(self, rng):
         # row normalization is a diagonal scaling, so it preserves the

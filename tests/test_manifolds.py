@@ -48,6 +48,8 @@ class TestFactoredPoint:
             FactoredPoint(U[:, 0], np.array([1.0]), V[:, :1])  # u not a matrix
         with pytest.raises(ShapeMismatch, match="widths"):
             FactoredPoint(U, np.array([2.0, 1.0]), V[:, :1])
+        with pytest.raises(RankDeficient, match="rank at least 1"):
+            FactoredPoint(np.zeros((3, 0)), np.zeros(0), np.zeros((4, 0)))
 
     def test_dense(self, rng):
         X = random_factored(rng, 5, 4, 2)

@@ -192,8 +192,7 @@ class TestSphereObjective:
                            rtol=0, atol=1e-15)
         assert sphere_objective(data, X) == pytest.approx(sphere_objective(data, Xd), rel=1e-13)
         assert sphere_test_error(data, X) == pytest.approx(sphere_test_error(data, Xd), rel=1e-13)
-        assert np.allclose(np.asarray(sphere_grad(data, X)), sphere_grad(data, Xd),
-                           rtol=0, atol=1e-15)
+        assert np.allclose(sphere_grad(data, X), sphere_grad(data, Xd), rtol=0, atol=1e-15)
 
 
 class TestHyperbolicData:

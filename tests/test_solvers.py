@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gotd import IllConditioned, NotConverged, RankDeficient, pcg
+from gotd import DomainViolation, IllConditioned, NotConverged, RankDeficient, pcg
 from gotd.solvers import pinv_apply, sym_sylvester_solver, truncated_svd
 
 
@@ -54,6 +54,15 @@ class TestTruncatedSvd:
     def test_not_a_matrix(self):
         with pytest.raises(RankDeficient, match="expected a matrix"):
             truncated_svd(np.ones(3), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, rng, bad):
+        # an inf in the first column can keep LAPACK's SVD from returning,
+        # so the entry sits in the last column here
+        X = rng.standard_normal((6, 3))
+        X[2, -1] = bad
+        with pytest.raises(DomainViolation, match="non-finite"):
+            truncated_svd(X, 2)
 
 
 class TestPinvApply:
